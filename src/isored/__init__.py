@@ -61,7 +61,6 @@ from .spectrum import (
     char_det,
     char_matrix,
     charpoly_numerators_equal,
-    det_ratfun_matrix,
     spectra_equal_up_to,
     spectrum,
     spectrum_minus,
@@ -88,6 +87,6 @@ from .weightset import (
     verify_weightset,
     weightset_reduce,
 )
-from .oracles import all_paths, det_leibniz, eig_dense
+from .oracles import all_paths, det_leibniz, det_ratfun_matrix, eig_dense, reduce_by_paths
 
 __version__ = "0.1.0"

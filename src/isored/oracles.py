@@ -1,8 +1,10 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the production code paths so they can anchor the
-randomized test suites: a permutation-expansion determinant, an exhaustive
-path enumerator, and a dense numeric eigensolver for constant-weight
+randomized test suites: a fraction-field elimination determinant and a
+permutation-expansion determinant (both against ``char_det``), an
+exhaustive path enumerator and the branch-product reduction built on it
+(against ``reduce``), and a dense numeric eigensolver for constant-weight
 graphs.  Size guards keep the factorial/exponential costs honest.
 """
 
@@ -16,6 +18,45 @@ import numpy as np
 from .ratfun import RatFun
 from .spectrum import SpectralList, SpectralPoint
 from .wgraph import WeightedDigraph
+
+
+def det_ratfun_matrix(matrix: Sequence[Sequence[RatFun]]) -> RatFun:
+    """Exact determinant of a square RatFun matrix by fraction-field
+    Gaussian elimination, pivoting on the lowest-degree nonzero entry."""
+    n = len(matrix)
+    if n == 0:
+        return RatFun.one()
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    zero = RatFun.zero()
+    det = RatFun.one()
+    sign = 1
+    for col in range(n):
+        pivot_row = None
+        best = None
+        for r in range(col, n):
+            e = m[r][col]
+            if e:
+                size = e.num.degree + e.den.degree
+                if best is None or size < best:
+                    best, pivot_row = size, r
+        if pivot_row is None:
+            return zero
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] / pivot
+                row, top = m[r], m[col]
+                for c in range(col + 1, n):
+                    if top[c]:
+                        row[c] = row[c] - f * top[c]
+                row[col] = zero
+    return -det if sign == -1 else det
 
 
 def det_leibniz(matrix: Sequence[Sequence[RatFun]]) -> RatFun:
@@ -74,6 +115,27 @@ def all_paths(
     # the search above never walks through the target, so cycles through
     # it are already excluded
     return out
+
+
+def reduce_by_paths(g: WeightedDigraph, s: Sequence[str]) -> WeightedDigraph:
+    """The reduction over S by the paper's definition: each (i, j) weight
+    is the sum, over the paths i -> j with interiors off S, of
+    w(v1,v2) * prod w(vk,vk+1) / (l - w(vk,vk)) over the interiors vk;
+    n <= 10."""
+    s_set = set(s)
+    s_ordered = [v for v in g.vertices if v in s_set]
+    lam = RatFun.var()
+    edges = []
+    for src in s_ordered:
+        for dst in s_ordered:
+            total = RatFun.zero()
+            for path in all_paths(g, src, dst, s_ordered):
+                term = g.weight(path[0], path[1])
+                for k in range(1, len(path) - 1):
+                    term = term * g.weight(path[k], path[k + 1]) / (lam - g.loop(path[k]))
+                total = total + term
+            edges.append((src, dst, total))
+    return WeightedDigraph(s_ordered, edges)
 
 
 def _eig_high_precision(mat: np.ndarray) -> List[complex]:

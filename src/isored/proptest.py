@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Callable, Dict, List
 
 from .isoequiv import isomorphic
-from .oracles import all_paths, det_leibniz, eig_dense
+from .oracles import all_paths, det_leibniz, det_ratfun_matrix, eig_dense, reduce_by_paths
 from .ratfun import GaussianRational, Poly, RatFun, format_weight, parse_weight
 from .reduction import (
     all_branches,
@@ -34,7 +34,6 @@ from .spectrum import (
     char_det,
     char_matrix,
     charpoly_numerators_equal,
-    det_ratfun_matrix,
     spectra_equal_up_to,
     spectrum,
 )
@@ -300,7 +299,8 @@ def commutativity_suite(cases: int = 100, seed: int = 11) -> SuiteResult:
 
 
 def elimination_fold_suite(cases: int = 40, seed: int = 12) -> SuiteResult:
-    """reduce over S equals every permutation-order elimination fold."""
+    """reduce over S equals the branch-product definition and every
+    permutation-order elimination fold."""
     rng = random.Random(seed)
     failures = []
     for k in range(cases):
@@ -310,13 +310,17 @@ def elimination_fold_suite(cases: int = 40, seed: int = 12) -> SuiteResult:
         if len(comp) > 4:
             s = s + comp[4:]
             comp = comp[:4]
+        # enough to replay the case alone: suite, seed, case, S and the graph
+        tag = f"elimination-folds seed={seed} case={k} set={','.join(s)} graph={g.to_json(indent=None)}"
         direct = reduce(g, s)
+        if direct != reduce_by_paths(g, s):
+            failures.append(f"{tag}: reduce differs from the branch-product sum")
         for order in permutations(comp):
             h = g
             for v in order:
                 h = remove_vertex(h, v)
             if h != direct:
-                failures.append(f"case {k}: fold order {order} differs from reduce")
+                failures.append(f"{tag}: fold order {order} differs from reduce")
                 break
     return SuiteResult("elimination-folds", cases, failures)
 

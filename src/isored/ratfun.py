@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 NEG_INF = float("-inf")
 
@@ -150,10 +150,6 @@ class Poly:
             c = GaussianRational(c)
         return Poly((c,))
 
-    @staticmethod
-    def from_ints(ints: Sequence[int]) -> "Poly":
-        return Poly(tuple(GaussianRational(k) for k in ints))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -213,12 +209,6 @@ class Poly:
         if not c:
             return _P_ZERO
         return Poly(tuple(k * c for k in self.coeffs))
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by the n-th power of the variable."""
-        if not self.coeffs:
-            return _P_ZERO
-        return Poly((GR_ZERO,) * n + self.coeffs)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -282,12 +272,6 @@ class Poly:
         out = 0j
         for c in reversed(self.coeffs):
             out = out * z + c.to_complex()
-        return out
-
-    def eval_exact(self, z: GaussianRational) -> GaussianRational:
-        out = GR_ZERO
-        for c in reversed(self.coeffs):
-            out = out * z + c
         return out
 
     def __repr__(self):

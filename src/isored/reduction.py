@@ -7,6 +7,13 @@ vertices all lie off S; the two-vertex case covers both a plain edge and a
 loop (a loop is a length-one cycle from its vertex to itself).  The
 reduced graph on S carries, for each ordered pair, the sum of branch
 products; pairs whose products cancel to zero get no edge.
+
+``reduce`` computes that graph as the Schur complement
+``M_SS + M_{S,S'} (l I - M_{S'S'})^{-1} M_{S',S}`` of the complement S':
+it removes the off-S vertices one at a time with ``remove_vertex``.  The
+result equals the branch-product sum exactly; the branch walk itself runs
+only where the branches are the output (enumeration, decompositions,
+expansion, pruning, and the subring-preserving reduction).
 """
 
 from __future__ import annotations
@@ -89,26 +96,26 @@ def branch_product(g: WeightedDigraph, branch: Branch) -> RatFun:
 
 def _branches_from(g: WeightedDigraph, s_set: set, start: str) -> Dict[str, List[Branch]]:
     """All branches leaving ``start``, grouped by target, each group in
-    lexicographic order of the vertex-index sequence."""
+    lexicographic order of the vertex-index sequence.  The depth-first
+    walk keeps an explicit stack of successor iterators, so a long
+    branch cannot exhaust the interpreter's recursion limit."""
     idx = g.index
     found: Dict[str, List[Branch]] = {}
-
-    def record(path: List[str]) -> None:
-        found.setdefault(path[-1], []).append(Branch(path))
-
-    def walk(path: List[str], on_path: set) -> None:
-        here = path[-1]
-        for nxt in sorted(g.successors(here), key=idx):
+    path = [start]
+    on_path = set()
+    stack = [iter(sorted(g.successors(start), key=idx))]
+    while stack:
+        for nxt in stack[-1]:
             if nxt in s_set:
-                record(path + [nxt])
+                found.setdefault(nxt, []).append(Branch(path + [nxt]))
             elif nxt not in on_path:
                 on_path.add(nxt)
                 path.append(nxt)
-                walk(path, on_path)
-                path.pop()
-                on_path.discard(nxt)
-
-    walk([start], set())
+                stack.append(iter(sorted(g.successors(nxt), key=idx)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
     return found
 
 
@@ -140,27 +147,22 @@ def all_branches(g: WeightedDigraph, s: Iterable[str]) -> List[Branch]:
 
 def reduce(g: WeightedDigraph, s: Iterable[str]) -> WeightedDigraph:
     """The isospectral reduction of g over the structural set S: the graph
-    on S whose (i, j) weight is the sum of branch products from i to j."""
-    s_ordered = require_structural_set(g, s)
-    s_set = set(s_ordered)
-    edges = []
-    for src in s_ordered:
-        groups = _branches_from(g, s_set, src)
-        for dst in s_ordered:
-            branches = groups.get(dst)
-            if not branches:
-                continue
-            total = RatFun.zero()
-            for b in branches:
-                total = total + branch_product(g, b)
-            if not total.is_zero():
-                edges.append((src, dst, total))
-    return WeightedDigraph(s_ordered, edges)
+    on S whose (i, j) weight is the sum of branch products from i to j.
+
+    The complement is removed vertex by vertex in graph order.  It induces
+    no cycle, so no removal changes the loop of another complement vertex,
+    and every pivot l - w(v, v) is the nonzero one the structural check
+    guarantees."""
+    s_set = set(require_structural_set(g, s))
+    for v in [u for u in g.vertices if u not in s_set]:
+        g = remove_vertex(g, v)
+    return g
 
 
 def remove_vertex(g: WeightedDigraph, v: str) -> WeightedDigraph:
     """Eliminate one vertex: the reduction over V minus {v}, computed by
-    the closed form  new(i,j) = w(i,j) + w(i,v) w(v,j) / (l - w(v,v))."""
+    the closed form  new(i,j) = w(i,j) + w(i,v) w(v,j) / (l - w(v,v)),
+    where only in-neighbour/out-neighbour pairs of v gain a term."""
     if not g.has_vertex(v):
         raise UnknownVertexError(f"unknown vertex {v!r}")
     if g.n < 2:
@@ -171,25 +173,18 @@ def remove_vertex(g: WeightedDigraph, v: str) -> WeightedDigraph:
         raise StructuralSetError(
             f"loop on {v!r} equals the variable l; the complement is not structural"
         )
-    keep = [u for u in g.vertices if u != v]
     denom = lam - loop
-    into = [(u, g.weight(u, v)) for u in g.predecessors(v) if u != v]
-    outof = [(w, g.weight(v, w)) for w in g.successors(v) if w != v]
-    extra: Dict[Tuple[str, str], RatFun] = {}
-    for u, wu in into:
-        through = wu / denom
-        for w, wv in outof:
-            extra[(u, w)] = through * wv
-    edges = []
-    for i in keep:
-        for j in keep:
-            w = g.weight(i, j)
-            add = extra.get((i, j))
-            if add is not None:
-                w = w + add
-            if not w.is_zero():
-                edges.append((i, j, w))
-    return WeightedDigraph(keep, edges)
+    weights = {(i, j): w for i, j, w in g.edges() if i != v and j != v}
+    outof = [(j, g.weight(v, j)) for j in g.successors(v) if j != v]
+    for i in g.predecessors(v):
+        if i == v:
+            continue
+        through = g.weight(i, v) / denom
+        for j, wv in outof:
+            weights[(i, j)] = weights.get((i, j), RatFun.zero()) + through * wv
+    return WeightedDigraph(
+        [u for u in g.vertices if u != v], [(i, j, w) for (i, j), w in weights.items()]
+    )
 
 
 def sequential_reduce(

@@ -7,60 +7,20 @@ the roots of ``num`` (poles are cancelled by canonicality), their
 multiplicities come from the exact squarefree decomposition, and numeric
 root values are companion-matrix eigenvalues polished by Newton steps.
 
-Two independent determinant routines ship here: fraction-field Gaussian
-elimination with lowest-degree pivoting (``det_ratfun_matrix``), and a
-denominator-cleared fraction-free elimination used as the default path of
-``char_det`` because it avoids per-step gcds.  The two are cross-checked
-against each other and a permanent-expansion oracle in the tests.
+``char_det`` clears each row's denominators and runs a fraction-free
+(Bareiss) elimination, which avoids per-step gcds.  It is the one
+determinant route; the tests cross-check it against the fraction-field
+elimination and permutation-expansion oracles in :mod:`isored.oracles`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .ratfun import Poly, RatFun, poly_gcd, poly_lcm, poly_to_string
 from .roots import poly_roots
 from .structural import DEDUP_TOL, ForbiddenPoint, ForbiddenSet
 from .wgraph import WeightedDigraph
-
-
-def det_ratfun_matrix(matrix: Sequence[Sequence[RatFun]]) -> RatFun:
-    """Exact determinant of a square RatFun matrix by fraction-field
-    Gaussian elimination, pivoting on the lowest-degree nonzero entry."""
-    n = len(matrix)
-    if n == 0:
-        return RatFun.one()
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    zero = RatFun.zero()
-    det = RatFun.one()
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        best = None
-        for r in range(col, n):
-            e = m[r][col]
-            if e:
-                size = e.num.degree + e.den.degree
-                if best is None or size < best:
-                    best, pivot_row = size, r
-        if pivot_row is None:
-            return zero
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / pivot
-                row, top = m[r], m[col]
-                for c in range(col + 1, n):
-                    if top[c]:
-                        row[c] = row[c] - f * top[c]
-                row[col] = zero
-    return -det if sign == -1 else det
 
 
 def _det_poly_bareiss(rows: List[List[Poly]]) -> Poly:

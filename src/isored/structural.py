@@ -217,11 +217,6 @@ def forbidden_set(g: WeightedDigraph, s: Iterable[str]) -> ForbiddenSet:
     return ForbiddenSet(points)
 
 
-def out_degree(g: WeightedDigraph, v: str) -> int:
-    """Out-degree with loops counting once."""
-    return g.out_degree(v)
-
-
 def basic_structural_set(g: WeightedDigraph) -> Tuple[str, ...]:
     """Vertices of out-degree at least two, plus all vertices on cycles
     that avoid such vertices.  Raises when the result would be empty."""

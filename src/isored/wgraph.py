@@ -147,12 +147,6 @@ class WeightedDigraph:
     def __repr__(self):
         return f"WeightedDigraph({len(self.vertices)} vertices, {len(self._edges)} edges)"
 
-    def describe(self) -> str:
-        lines = [f"vertices: {', '.join(self.vertices)}"]
-        for u, v, w in self.edges():
-            lines.append(f"  {u} -> {v}  [{format_weight(w)}]")
-        return "\n".join(lines)
-
     # -- derived graphs --------------------------------------------------
 
     def loopless(self) -> "WeightedDigraph":

@@ -1,5 +1,6 @@
 """Branch enumeration, reductions, decompositions, expansions, bisection."""
 
+import json
 import random
 from collections import Counter
 from itertools import permutations
@@ -26,6 +27,7 @@ from isored import (
     parse_weight,
     prune_off_branch,
     reduce,
+    reduce_by_paths,
     remove_vertex,
     sequential_reduce,
     spectra_equal_up_to,
@@ -33,6 +35,7 @@ from isored import (
     unique_reduce_to,
     weight_sequence,
 )
+from isored import proptest
 from isored.proptest import random_graph, random_structural_set
 from isored.reduction import Branch
 
@@ -242,6 +245,17 @@ def test_unique_reduce_complete_graph_to_point():
     assert spectra_equal_up_to(spectrum(g), spectrum(r), n, 1e-9).ok
 
 
+def test_long_cycle_through_one_vertex_needs_no_recursion():
+    n = 1200  # one branch longer than the default recursion limit
+    labels = [f"v{k}" for k in range(n)]
+    g = WeightedDigraph(labels, [(labels[k], labels[(k + 1) % n], ONE) for k in range(n)])
+    assert reduce(g, ["v0"]) == WeightedDigraph(["v0"], [("v0", "v0", ONE / L ** (n - 1))])
+    (branch,) = all_branches(g, ["v0"])
+    assert branch.vertices == tuple(labels) + ("v0",)
+    fresh = {v: f"v0~v0~0~{k}" for k, v in enumerate(labels) if k}
+    assert expand(g, ["v0"]) == g.relabeled(fresh)
+
+
 def test_unique_reduce_rejects_bad_degree_gap():
     g = WeightedDigraph(["a", "b"], [("a", "b", rf("l+1")), ("b", "a", ONE)])
     with pytest.raises(ValueError):
@@ -276,11 +290,29 @@ def test_reduce_equals_every_elimination_fold():
         comp = [v for v in g.vertices if v not in s][:3]
         s_full = [v for v in g.vertices if v in set(s) or v not in set(comp)]
         direct = reduce(g, s_full)
+        assert direct == reduce_by_paths(g, s_full)
         for order in permutations(comp):
             h = g
             for v in order:
                 h = remove_vertex(h, v)
             assert h == direct
+
+
+def test_elimination_fold_failures_carry_replay_data(monkeypatch):
+    def broken(g, s):
+        return WeightedDigraph([v for v in g.vertices if v in set(s)])
+
+    monkeypatch.setattr(proptest, "reduce_by_paths", broken)
+    failures = proptest.elimination_fold_suite(cases=5, seed=12).failures
+    assert failures
+    for line in failures:
+        head, _, rest = line.partition(" graph=")
+        data, end = json.JSONDecoder().raw_decode(rest)
+        assert head.startswith("elimination-folds seed=12 case=")
+        assert rest[end:] == ": reduce differs from the branch-product sum"
+        g = WeightedDigraph.from_json_dict(data)
+        s = head.partition(" set=")[2].split(",")
+        assert reduce(g, s) != broken(g, s)
 
 
 # ----------------------------------------------------------------------
