@@ -61,7 +61,8 @@ from .spectrum import (
     char_det,
     char_matrix,
     charpoly_numerators_equal,
-    spectra_equal_up_to,
+    compare_outside,
+    spectra_agree_outside,
     spectrum,
     spectrum_minus,
 )
@@ -87,6 +88,13 @@ from .weightset import (
     verify_weightset,
     weightset_reduce,
 )
-from .oracles import all_paths, det_leibniz, det_ratfun_matrix, eig_dense, reduce_by_paths
+from .oracles import (
+    all_paths,
+    det_leibniz,
+    det_ratfun_matrix,
+    eig_dense,
+    reduce_by_paths,
+    spectra_equal_up_to,
+)
 
 __version__ = "0.1.0"

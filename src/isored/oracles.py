@@ -5,7 +5,9 @@ randomized test suites: a fraction-field elimination determinant and a
 permutation-expansion determinant (both against ``char_det``), an
 exhaustive path enumerator and the branch-product reduction built on it
 (against ``reduce``), and a dense numeric eigensolver for constant-weight
-graphs.  Size guards keep the factorial/exponential costs honest.
+graphs, with the tolerance-matched spectrum comparison that checks float
+spectra (its own or the numeric normalized Laplacian's) against exact
+ones.  Size guards keep the factorial/exponential costs honest.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .ratfun import RatFun
-from .spectrum import SpectralList, SpectralPoint
+from .spectrum import SpectralList, SpectralPoint, spectrum_minus
+from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
 
 
@@ -183,3 +186,73 @@ def eig_dense(g: WeightedDigraph, cluster_tol: float = 1e-6) -> SpectralList:
         SpectralPoint(sum(c) / len(c), len(c), None) for c in clusters
     ]
     return SpectralList(points)
+
+
+class MatchReport:
+    """Result of a tolerance-matched multiset comparison of two spectra."""
+
+    __slots__ = ("ok", "pairs", "unmatched_left", "unmatched_right")
+
+    def __init__(self, ok, pairs, unmatched_left, unmatched_right):
+        self.ok = ok
+        self.pairs = pairs
+        self.unmatched_left = unmatched_left
+        self.unmatched_right = unmatched_right
+
+    def lines(self) -> List[str]:
+        """The mismatch, one line per unpaired root."""
+        out = [f"spectra differ ({len(self.pairs)} paired roots)"]
+        for z in self.unmatched_left:
+            out.append(f"  only left:  {z:.9g}")
+        for z in self.unmatched_right:
+            out.append(f"  only right: {z:.9g}")
+        return out
+
+
+def _pair_values(left: List[complex], right: List[complex], tol: float):
+    """Greedy nearest-neighbor pairing; on failure retry with an optimal
+    assignment so near-ties cannot spoil a valid matching."""
+    pairs = []
+    used = [False] * len(right)
+    unmatched_left = []
+    for z in left:
+        best_j, best_d = None, None
+        for j, w in enumerate(right):
+            if used[j]:
+                continue
+            d = abs(z - w)
+            if best_d is None or d < best_d:
+                best_j, best_d = j, d
+        if best_j is not None and best_d <= tol:
+            used[best_j] = True
+            pairs.append((z, right[best_j]))
+        else:
+            unmatched_left.append(z)
+    unmatched_right = [w for j, w in enumerate(right) if not used[j]]
+    if not unmatched_left and not unmatched_right:
+        return pairs, [], []
+    if len(left) == len(right) and left:
+        # Hungarian fallback: greedy can strand points when distances tie
+        from scipy.optimize import linear_sum_assignment
+
+        cost = np.array([[abs(z - w) for w in right] for z in left])
+        rows, cols = linear_sum_assignment(cost)
+        if all(cost[r, c] <= tol for r, c in zip(rows, cols)):
+            return [(left[r], right[c]) for r, c in zip(rows, cols)], [], []
+    return pairs, unmatched_left, unmatched_right
+
+
+def spectra_equal_up_to(
+    left: SpectralList,
+    right: SpectralList,
+    forbidden: ForbiddenSet,
+    tol: float = 1e-9,
+) -> MatchReport:
+    """Multiset equality of the two spectra outside the forbidden set, with
+    root values paired within ``tol``; the set itself is removed exactly, so
+    a float list such as ``eig_dense``'s output only takes an empty set
+    (a nonempty one raises ``ValueError``)."""
+    lv = spectrum_minus(left, forbidden).values()
+    rv = spectrum_minus(right, forbidden).values()
+    pairs, ul, ur = _pair_values(lv, rv, tol)
+    return MatchReport(not ul and not ur, pairs, ul, ur)

@@ -14,7 +14,14 @@ from itertools import permutations
 from typing import Callable, Dict, List
 
 from .isoequiv import isomorphic
-from .oracles import all_paths, det_leibniz, det_ratfun_matrix, eig_dense, reduce_by_paths
+from .oracles import (
+    all_paths,
+    det_leibniz,
+    det_ratfun_matrix,
+    eig_dense,
+    reduce_by_paths,
+    spectra_equal_up_to,
+)
 from .ratfun import GaussianRational, Poly, RatFun, format_weight, parse_weight
 from .reduction import (
     all_branches,
@@ -34,7 +41,7 @@ from .spectrum import (
     char_det,
     char_matrix,
     charpoly_numerators_equal,
-    spectra_equal_up_to,
+    spectra_agree_outside,
     spectrum,
 )
 from .structural import (
@@ -164,6 +171,14 @@ def random_structural_set(rng: random.Random, g: WeightedDigraph) -> List[str]:
     return [v for v in g.vertices if v in s]
 
 
+def _replay_tag(suite: str, seed: int, k: int, g: WeightedDigraph, *sets) -> str:
+    """Everything needed to replay one case alone: suite, seed, case, the
+    vertex set (successive sets of a sequence joined by ';') and the graph
+    as one-line JSON."""
+    steps = ";".join(",".join(s) for s in sets)
+    return f"{suite} seed={seed} case={k} set={steps} graph={g.to_json(indent=None)}"
+
+
 # ----------------------------------------------------------------------
 # Suites
 # ----------------------------------------------------------------------
@@ -255,15 +270,26 @@ def squarefree_suite(cases: int = 200, seed: int = 3) -> SuiteResult:
 def spectrum_preservation_suite(cases: int = 200, seed: int = 10, tol: float = 1e-6) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
+    lam = RatFun.var()
     for k in range(cases):
         g = random_graph(rng)
         s = random_structural_set(rng, g)
         n = forbidden_set(g, s)
         r = reduce(g, s)
-        report = spectra_equal_up_to(spectrum(g), spectrum(r), n, tol)
+        sg, sr = spectrum(g), spectrum(r)
+        tag = lambda: _replay_tag("spectrum-preservation", seed, k, g, s)
+        complement = RatFun.one()
+        for v in g.vertices:
+            if v not in s:
+                complement = complement * (g.loop(v) - lam)
+        if sg.charpoly != complement * sr.charpoly:
+            failures.append(f"{tag()}: char_det(G) != prod(loop(v) - l) * char_det(R_S)")
+        if not spectra_agree_outside(sg, sr, n):
+            failures.append(f"{tag()}: spectra differ beyond the forbidden set (exact check)")
+        report = spectra_equal_up_to(sg, sr, n, tol)
         if not report.ok:
             failures.append(
-                f"case {k}: spectra differ beyond the forbidden set; " + "; ".join(report.lines())
+                f"{tag()}: spectra differ beyond the forbidden set; " + "; ".join(report.lines())
             )
     return SuiteResult("spectrum-preservation", cases, failures)
 
@@ -310,8 +336,7 @@ def elimination_fold_suite(cases: int = 40, seed: int = 12) -> SuiteResult:
         if len(comp) > 4:
             s = s + comp[4:]
             comp = comp[:4]
-        # enough to replay the case alone: suite, seed, case, S and the graph
-        tag = f"elimination-folds seed={seed} case={k} set={','.join(s)} graph={g.to_json(indent=None)}"
+        tag = _replay_tag("elimination-folds", seed, k, g, s)
         direct = reduce(g, s)
         if direct != reduce_by_paths(g, s):
             failures.append(f"{tag}: reduce differs from the branch-product sum")
@@ -372,32 +397,39 @@ def expansion_suite(cases: int = 100, seed: int = 15) -> SuiteResult:
     for k in range(cases):
         g = random_graph(rng, max_n=6)
         s = random_structural_set(rng, g)
+        tag = lambda: _replay_tag("expansion", seed, k, g, s)
         x = expand(g, s)
         if Counter(branch_decomposition(g, s)) != Counter(branch_decomposition(x, s)):
-            failures.append(f"case {k}: expansion changed the decomposition")
+            failures.append(f"{tag()}: expansion changed the decomposition")
         branches = all_branches(x, s)
         interiors = [set(b.interiors()) for b in branches]
         for i in range(len(interiors)):
             for j in range(i + 1, len(interiors)):
                 if interiors[i] & interiors[j]:
-                    failures.append(f"case {k}: expansion branches share interiors")
+                    failures.append(f"{tag()}: expansion branches share interiors")
         on_branch = set(s)
         for b in branches:
             on_branch.update(b.vertices)
         if set(x.vertices) - on_branch:
-            failures.append(f"case {k}: expansion vertex off every branch")
+            failures.append(f"{tag()}: expansion vertex off every branch")
         if reduce(x, s) != reduce(g, s):
-            failures.append(f"case {k}: expansion changed the reduction")
+            failures.append(f"{tag()}: expansion changed the reduction")
         n = forbidden_set(g, s)
-        if not spectra_equal_up_to(spectrum(g), spectrum(x), n, 1e-6).ok:
-            failures.append(f"case {k}: expansion moved the spectrum too far")
+        sg, sx = spectrum(g), spectrum(x)
+        if not spectra_agree_outside(sg, sx, n):
+            failures.append(f"{tag()}: expansion changed the spectrum outside N (exact check)")
+        if not spectra_equal_up_to(sg, sx, n, 1e-6).ok:
+            failures.append(f"{tag()}: expansion moved the spectrum too far")
         if not common_decomposition(g, s, x, s, {v: v for v in s}):
-            failures.append(f"case {k}: common decomposition self-test failed")
+            failures.append(f"{tag()}: common decomposition self-test failed")
         pruned = prune_off_branch(g, s)
         if reduce(pruned, s) != reduce(g, s):
-            failures.append(f"case {k}: pruning changed the reduction")
-        if not spectra_equal_up_to(spectrum(g), spectrum(pruned), n, 1e-6).ok:
-            failures.append(f"case {k}: pruning moved the spectrum too far")
+            failures.append(f"{tag()}: pruning changed the reduction")
+        sp = spectrum(pruned)
+        if not spectra_agree_outside(sg, sp, n):
+            failures.append(f"{tag()}: pruning changed the spectrum outside N (exact check)")
+        if not spectra_equal_up_to(sg, sp, n, 1e-6).ok:
+            failures.append(f"{tag()}: pruning moved the spectrum too far")
     return SuiteResult("expansion", cases, failures)
 
 
@@ -421,11 +453,16 @@ def bisect_suite(cases: int = 100, seed: int = 16) -> SuiteResult:
         base_edges.append((u, v, target))
         h = WeightedDigraph(g.vertices, base_edges)
         bisected = loop_bisect(h, (u, v), w_in, w_loop, w_out, new_vertex="mid")
+        # the bisected graph reduces back to h over h's vertices
+        tag = lambda: _replay_tag("loop-bisection", seed, k, bisected, h.vertices)
         if remove_vertex(bisected, "mid") != h:
-            failures.append(f"case {k}: bisect then eliminate is not the identity")
+            failures.append(f"{tag()}: bisect then eliminate is not the identity")
         n = forbidden_set(bisected, h.vertices)
-        if not spectra_equal_up_to(spectrum(h), spectrum(bisected), n, 1e-6).ok:
-            failures.append(f"case {k}: bisection moved the spectrum too far")
+        sh, sb = spectrum(h), spectrum(bisected)
+        if not spectra_agree_outside(sh, sb, n):
+            failures.append(f"{tag()}: bisection changed the spectrum outside N (exact check)")
+        if not spectra_equal_up_to(sh, sb, n, 1e-6).ok:
+            failures.append(f"{tag()}: bisection moved the spectrum too far")
     return SuiteResult("loop-bisection", cases, failures)
 
 
@@ -468,18 +505,19 @@ def structural_suite(cases: int = 150, seed: int = 18) -> SuiteResult:
     failures = []
     for k in range(cases):
         g = random_graph(rng)
+        tag = lambda s: _replay_tag("structural-sets", seed, k, g, s)
         if len(forbidden_set(g, g.vertices)) != 0:
-            failures.append(f"case {k}: full-set reduction has exception points")
+            failures.append(f"{tag(g.vertices)}: full-set reduction has exception points")
         try:
             bas = basic_structural_set(g)
         except Exception:
             bas = None
         if bas is not None:
             if not is_structural_set(g, bas):
-                failures.append(f"case {k}: basic set is not structural")
-            pts = forbidden_set(g, bas).values()
-            if any(abs(z) > 1e-9 for z in pts):
-                failures.append(f"case {k}: basic-set exception points beyond zero")
+                failures.append(f"{tag(bas)}: basic set is not structural")
+            # the complement of a basic set has no loops, so N is {0} or empty
+            if forbidden_set(g, bas).poly not in (Poly.one(), Poly.var()):
+                failures.append(f"{tag(bas)}: basic-set exception points beyond zero")
         # cycle detection agrees with a reachability oracle on the complement
         s = random_structural_set(rng, g)
         sub = g.loopless().subgraph([v for v in g.vertices if v not in set(s)])
@@ -496,7 +534,7 @@ def structural_suite(cases: int = 150, seed: int = 18) -> SuiteResult:
                     changed = True
         has_cycle = any(v in reach[v] for v in sub.vertices)
         if has_cycle:
-            failures.append(f"case {k}: accepted set leaves a complement cycle")
+            failures.append(f"{tag(s)}: accepted set leaves a complement cycle")
     return SuiteResult("structural-sets", cases, failures)
 
 
@@ -506,21 +544,31 @@ def sequential_suite(cases: int = 80, seed: int = 19) -> SuiteResult:
     for k in range(cases):
         g = random_graph(rng, max_n=7)
         s1 = random_structural_set(rng, g)
+        tag = lambda *steps: _replay_tag("sequential", seed, k, g, *steps)
         r1, n1 = sequential_reduce(g, [s1])
         if r1 != reduce(g, s1):
-            failures.append(f"case {k}: single-step sequence differs from reduce")
+            failures.append(f"{tag(s1)}: single-step sequence differs from reduce")
         direct = forbidden_set(g, s1)
+        if n1.poly != direct.poly:
+            failures.append(f"{tag(s1)}: single-step exception polynomial differs")
         if sorted(p.value.real for p in n1) != sorted(p.value.real for p in direct):
-            failures.append(f"case {k}: single-step exception set differs")
+            failures.append(f"{tag(s1)}: single-step exception set differs")
         s2 = random_structural_set(rng, r1)
         r2, n2 = sequential_reduce(g, [s1, s2])
         if r2 != reduce(r1, s2):
-            failures.append(f"case {k}: two-step sequence differs")
+            failures.append(f"{tag(s1, s2)}: two-step sequence differs")
         expected = direct.union(forbidden_set(r1, s2))
+        if n2.poly != expected.poly:
+            failures.append(f"{tag(s1, s2)}: accumulated exception polynomial differs")
         if len(n2) != len(expected):
-            failures.append(f"case {k}: accumulated exception set differs")
-        if not spectra_equal_up_to(spectrum(g), spectrum(r2), n2, 1e-6).ok:
-            failures.append(f"case {k}: sequence broke spectrum preservation")
+            failures.append(f"{tag(s1, s2)}: accumulated exception set differs")
+        if len(n2) != n2.poly.degree:
+            failures.append(f"{tag(s1, s2)}: accumulated exception set lost or repeated a point")
+        sg, sr2 = spectrum(g), spectrum(r2)
+        if not spectra_agree_outside(sg, sr2, n2):
+            failures.append(f"{tag(s1, s2)}: sequence broke spectrum preservation (exact check)")
+        if not spectra_equal_up_to(sg, sr2, n2, 1e-6).ok:
+            failures.append(f"{tag(s1, s2)}: sequence broke spectrum preservation")
     return SuiteResult("sequential", cases, failures)
 
 

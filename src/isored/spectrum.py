@@ -11,15 +11,20 @@ root values are companion-matrix eigenvalues polished by Newton steps.
 (Bareiss) elimination, which avoids per-step gcds.  It is the one
 determinant route; the tests cross-check it against the fraction-field
 elimination and permutation-expansion oracles in :mod:`isored.oracles`.
+
+Spectra are compared outside an exception set exactly: every root of the
+set's polynomial is divided out of each characteristic numerator, with
+all its multiplicity, and the spectra agree when the rests are the same
+monic polynomial.  Root values only report; they never decide.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .ratfun import Poly, RatFun, poly_gcd, poly_lcm, poly_to_string
 from .roots import poly_roots
-from .structural import DEDUP_TOL, ForbiddenPoint, ForbiddenSet
+from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
 
 
@@ -154,121 +159,77 @@ class SpectralList:
         return data
 
 
+def _spectral_list(charpoly: RatFun) -> SpectralList:
+    """The roots, with exact multiplicities, of the numerator of ``charpoly``."""
+    if charpoly.num.degree <= 0:
+        return SpectralList([], charpoly)
+    pts = [
+        SpectralPoint(z, mult, witness) for z, mult, witness in poly_roots(charpoly.num)
+    ]
+    return SpectralList(pts, charpoly)
+
+
 def spectrum(g: WeightedDigraph) -> SpectralList:
     """Roots, with exact multiplicities, of the numerator of char_det."""
-    cd = char_det(g)
-    if cd.num.degree <= 0:
-        return SpectralList([], cd)
-    pts = [
-        SpectralPoint(z, mult, witness) for z, mult, witness in poly_roots(cd.num)
-    ]
-    return SpectralList(pts, cd)
+    return _spectral_list(char_det(g))
 
 
-def _root_matches_point(
-    value: complex, witness: Optional[Poly], fp: ForbiddenPoint, tol: float
+def _outside(sl: SpectralList, forbidden: ForbiddenSet) -> Poly:
+    """The monic characteristic numerator of ``sl`` with every root of
+    ``forbidden.poly`` divided out, all multiplicities included."""
+    num = sl.charpoly.num.monic()
+    while True:
+        common = poly_gcd(num, forbidden.poly)
+        if common.degree <= 0:
+            return num
+        num = num.exact_div(common)
+
+
+def spectrum_minus(sl: SpectralList, forbidden: ForbiddenSet) -> SpectralList:
+    """The entries of ``sl`` outside the forbidden set: all copies of a
+    root in the set go at once.  A list without its charpoly, such as a
+    float eigenvalue list, can only lose an empty set."""
+    if forbidden.poly.degree <= 0:
+        return sl
+    if sl.charpoly is None:
+        raise ValueError("a spectrum without its charpoly cannot be filtered exactly")
+    return _spectral_list(RatFun(_outside(sl, forbidden)))
+
+
+class OutsideComparison(NamedTuple):
+    """Two spectra compared exactly outside an exception set."""
+
+    agree: bool  # the stripped monic numerators are equal
+    touched: bool  # either spectrum has a root in the set
+    paired: int  # roots found on both sides, with multiplicity
+    only_left: List[complex]
+    only_right: List[complex]
+
+
+def compare_outside(
+    left: SpectralList, right: SpectralList, forbidden: ForbiddenSet
+) -> OutsideComparison:
+    """Strip every root of the forbidden set from both characteristic
+    numerators and compare the rests; on a mismatch, the roots found on
+    one side only are those of the rests over their gcd."""
+    a, b = _outside(left, forbidden), _outside(right, forbidden)
+    touched = a.degree < left.charpoly.num.degree or b.degree < right.charpoly.num.degree
+    if a == b:
+        return OutsideComparison(True, touched, a.degree, [], [])
+    common = poly_gcd(a, b)
+    only_left = _spectral_list(RatFun(a.exact_div(common))).values()
+    only_right = _spectral_list(RatFun(b.exact_div(common))).values()
+    return OutsideComparison(False, touched, common.degree, only_left, only_right)
+
+
+def spectra_agree_outside(
+    left: SpectralList, right: SpectralList, forbidden: ForbiddenSet
 ) -> bool:
-    if witness is not None:
-        if witness == fp.witness:
-            return abs(value - fp.value) <= max(tol, DEDUP_TOL)
-        g = poly_gcd(witness, fp.witness)
-        if g.degree > 0 and abs(g.eval_complex(value)) <= 1e-6:
-            return abs(value - fp.value) <= max(tol, 1e-6)
-    return abs(value - fp.value) <= tol
-
-
-def spectrum_minus(
-    sl: SpectralList, forbidden: ForbiddenSet, tol: float = DEDUP_TOL
-) -> SpectralList:
-    """Drop every entry whose root matches a forbidden point; removal is
-    by value, so all copies of a matching root go at once."""
-    kept = [
-        p
-        for p in sl.points
-        if not any(
-            _root_matches_point(p.value, p.witness, fp, tol) for fp in forbidden
-        )
-    ]
-    return SpectralList(kept, None)
-
-
-class MatchReport:
-    """Result of a tolerance-matched multiset comparison of two spectra."""
-
-    __slots__ = ("ok", "pairs", "unmatched_left", "unmatched_right")
-
-    def __init__(self, ok, pairs, unmatched_left, unmatched_right):
-        self.ok = ok
-        self.pairs = pairs
-        self.unmatched_left = unmatched_left
-        self.unmatched_right = unmatched_right
-
-    def __bool__(self):
-        return self.ok
-
-    def lines(self) -> List[str]:
-        if self.ok:
-            return [f"spectra match ({len(self.pairs)} paired roots)"]
-        out = [f"spectra differ ({len(self.pairs)} paired roots)"]
-        for z in self.unmatched_left:
-            out.append(f"  only left:  {z:.9g}")
-        for z in self.unmatched_right:
-            out.append(f"  only right: {z:.9g}")
-        return out
-
-
-def _pair_values(left: List[complex], right: List[complex], tol: float):
-    """Greedy nearest-neighbor pairing; on failure retry with an optimal
-    assignment so near-ties cannot spoil a valid matching."""
-    pairs = []
-    used = [False] * len(right)
-    unmatched_left = []
-    for z in left:
-        best_j, best_d = None, None
-        for j, w in enumerate(right):
-            if used[j]:
-                continue
-            d = abs(z - w)
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is not None and best_d <= tol:
-            used[best_j] = True
-            pairs.append((z, right[best_j]))
-        else:
-            unmatched_left.append(z)
-    unmatched_right = [w for j, w in enumerate(right) if not used[j]]
-    if not unmatched_left and not unmatched_right:
-        return pairs, [], []
-    if len(left) == len(right) and left:
-        # Hungarian fallback: greedy can strand points when distances tie
-        import numpy as np
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.array([[abs(z - w) for w in right] for z in left])
-        rows, cols = linear_sum_assignment(cost)
-        if all(cost[r, c] <= tol for r, c in zip(rows, cols)):
-            return [(left[r], right[c]) for r, c in zip(rows, cols)], [], []
-    return pairs, unmatched_left, unmatched_right
-
-
-def spectra_equal_up_to(
-    left: SpectralList,
-    right: SpectralList,
-    forbidden: ForbiddenSet,
-    tol: float = 1e-9,
-) -> MatchReport:
-    """Multiset equality of the two spectra outside the forbidden set."""
-    lv = spectrum_minus(left, forbidden, tol).values()
-    rv = spectrum_minus(right, forbidden, tol).values()
-    pairs, ul, ur = _pair_values(lv, rv, tol)
-    return MatchReport(not ul and not ur, pairs, ul, ur)
+    """Exact multiset equality of two spectra outside the forbidden set."""
+    return compare_outside(left, right, forbidden).agree
 
 
 def charpoly_numerators_equal(g: WeightedDigraph, h: WeightedDigraph) -> bool:
     """Exact spectral equality: canonical char_det numerators agree up to
     a nonzero constant."""
-    a = char_det(g).num
-    b = char_det(h).num
-    if a.degree != b.degree:
-        return False
-    return a.monic() == b.monic()
+    return char_det(g).num.monic() == char_det(h).num.monic()

@@ -7,9 +7,11 @@ every complex number at which some off-S loop weight takes the value of
 the variable or is undefined; spectra of G and of its reduction over S can
 only disagree at those points.
 
-Points of the exception set are kept exactly (a monic squarefree witness
-polynomial plus a polished numeric value); set union dedupes through the
-witness polynomials first and numeric distance second.
+The exception set is kept exactly as one monic squarefree polynomial,
+the lcm of the witnesses of its points, whose roots are exactly the
+points; adding a witness multiplies in only the part coprime to what is
+already there.  Each point also carries a polished numeric value, which
+is for display and never decides membership.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .ratfun import Poly, RatFun, poly_gcd, poly_to_string
 from .roots import poly_roots
 from .wgraph import UnknownVertexError, WeightedDigraph
-
-DEDUP_TOL = 1e-9
 
 
 class StructuralSetError(ValueError):
@@ -135,15 +135,44 @@ class ForbiddenPoint:
 
 
 class ForbiddenSet:
-    """Deduplicated finite set of complex exception points."""
+    """Finite set of complex exception points.
 
-    __slots__ = ("points",)
+    ``poly`` is the set, exactly: the monic squarefree lcm of the points'
+    witnesses.  ``points`` holds one entry per root of ``poly``, sorted by
+    (real, imag).  The points given for one witness must be all of its
+    roots, possibly repeated as a whole (one copy per loop weight that
+    yields the witness); ``_roots`` keeps one full copy per witness, so a
+    union can add the other set's witnesses whole.
+    """
+
+    __slots__ = ("points", "poly", "_roots")
 
     def __init__(self, points: Iterable[ForbiddenPoint] = ()):
-        kept: List[ForbiddenPoint] = []
+        self.points: Tuple[ForbiddenPoint, ...] = ()
+        self.poly = Poly.one()
+        self._roots: Dict[Poly, List[ForbiddenPoint]] = {}
+        groups: Dict[Poly, List[ForbiddenPoint]] = {}
         for p in points:
-            if not any(_same_point(p, q) for q in kept):
-                kept.append(p)
+            groups.setdefault(p.witness, []).append(p)
+        # any further copies of a witness's roots repeat the first
+        self._add({w: group[: w.degree] for w, group in groups.items()})
+
+    def _add(self, roots: Dict[Poly, List[ForbiddenPoint]]) -> None:
+        """Multiply each new witness into ``poly`` up to its common factor,
+        dropping as many of its roots as that factor has; which of them go
+        (those nearest its zeros) is only a display choice."""
+        kept = list(self.points)
+        for w, group in roots.items():
+            if w in self._roots:
+                continue
+            self._roots[w] = group
+            common = poly_gcd(w, self.poly)
+            if common.degree > 0:
+                group = sorted(group, key=lambda p: abs(common.eval_complex(p.value)))
+                group = group[common.degree :]
+                w = w.exact_div(common)
+            self.poly = self.poly * w
+            kept.extend(group)
         kept.sort(key=lambda p: (p.value.real, p.value.imag))
         self.points = tuple(kept)
 
@@ -152,13 +181,13 @@ class ForbiddenSet:
         return ForbiddenSet()
 
     def union(self, other: "ForbiddenSet") -> "ForbiddenSet":
-        return ForbiddenSet(list(self.points) + list(other.points))
+        out = ForbiddenSet()
+        out.points, out.poly, out._roots = self.points, self.poly, dict(self._roots)
+        out._add(other._roots)
+        return out
 
     def values(self) -> List[complex]:
         return [p.value for p in self.points]
-
-    def contains(self, z: complex, tol: float = DEDUP_TOL) -> bool:
-        return any(abs(p.value - z) <= tol for p in self.points)
 
     def __iter__(self):
         return iter(self.points)
@@ -183,19 +212,6 @@ class ForbiddenSet:
         }
 
 
-def _same_point(a: ForbiddenPoint, b: ForbiddenPoint) -> bool:
-    if abs(a.value - b.value) > DEDUP_TOL:
-        return False
-    if a.witness == b.witness:
-        return True
-    g = poly_gcd(a.witness, b.witness)
-    if g.degree <= 0:
-        # numerically equal but algebraically unrelated witnesses: treat as
-        # one point only if truly indistinguishable
-        return abs(a.value - b.value) <= DEDUP_TOL
-    return abs(g.eval_complex(a.value)) <= 1e-6
-
-
 def forbidden_set(g: WeightedDigraph, s: Iterable[str]) -> ForbiddenSet:
     """Exception points of (g, s): for each complement vertex with loop
     weight p/q, the solutions of l*q(l) = p(l) plus the roots of q."""
@@ -203,10 +219,12 @@ def forbidden_set(g: WeightedDigraph, s: Iterable[str]) -> ForbiddenSet:
     s_set = set(s_ordered)
     lam = Poly.var()
     points: List[ForbiddenPoint] = []
+    seen = set()
     for v in g.vertices:
-        if v in s_set:
-            continue
+        if v in s_set or g.loop(v) in seen:
+            continue  # a repeated loop weight repeats its witnesses
         w = g.loop(v)
+        seen.add(w)
         eq = lam * w.den - w.num
         if not eq.is_zero():
             for z, _, witness in poly_roots(eq):

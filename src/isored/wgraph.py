@@ -258,16 +258,30 @@ class WeightedDigraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "WeightedDigraph":
-        try:
-            vertices = list(data["vertices"])
-        except (KeyError, TypeError):
-            raise GraphError("graph JSON needs a 'vertices' list") from None
-        undirected = bool(data.get("undirected", False))
-        unit = bool(data.get("unit_weights", False))
+        """Build a graph from the JSON wire format; input that does not
+        follow it raises GraphError (or ParseError for a bad weight)."""
+        if not isinstance(data, dict):
+            raise GraphError("graph JSON must be an object")
+        vertices = data.get("vertices")
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise GraphError("graph JSON needs a 'vertices' list of strings")
+        records = data.get("edges", [])
+        if not isinstance(records, list):
+            raise GraphError("graph JSON 'edges' must be a list")
+        undirected = data.get("undirected", False)
+        unit = data.get("unit_weights", False)
+        if not isinstance(undirected, bool) or not isinstance(unit, bool):
+            raise GraphError("graph JSON 'undirected' and 'unit_weights' must be true or false")
         raw = []
-        for rec in data.get("edges", ()):
+        for k, rec in enumerate(records):
+            if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(end), str) for end in ("from", "to")
+            ):
+                raise GraphError(f"edge record {k} needs string 'from' and 'to'")
             u, v = rec["from"], rec["to"]
             if "weight" in rec:
+                if not isinstance(rec["weight"], str):
+                    raise GraphError(f"edge {u!r}->{v!r}: weight must be a string")
                 w = parse_weight(rec["weight"])
             elif unit:
                 w = RatFun.one()

@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from isored import RatFun, WeightedDigraph, complete_bipartite_graph, complete_graph
+from isored import (
+    RatFun,
+    WeightedDigraph,
+    complete_bipartite_graph,
+    complete_graph,
+    parse_weight,
+)
 from isored.cli import main
 
 from sample_graphs import (
@@ -166,6 +172,57 @@ def test_verify_broken_claimed_reduction_fails_with_exit_3(tmp_path, capsys):
     good = write_graph(tmp_path, "good.json", r)
     code, out = run_cli(capsys, "verify", path, "--set", "w2,w5", "--expect", good)
     assert code == 0
+
+
+def test_verify_claim_with_eigenvalue_just_off_the_exception_set_fails(tmp_path, capsys):
+    # N(G;{s}) = {1}; the claim adds the eigenvalue 1 + 1e-10, which is
+    # neither in sigma(G) nor in N, so no tolerance may absorb it
+    g = WeightedDigraph(
+        ["s", "a"], [("s", "a", ONE), ("a", "s", ONE), ("a", "a", ONE)]
+    )
+    claim = WeightedDigraph(
+        ["s", "t"],
+        [("s", "s", parse_weight("1/(l-1)")), ("t", "t", parse_weight("10000000001/10000000000"))],
+    )
+    path = write_graph(tmp_path, "g.json", g)
+    claimed = write_graph(tmp_path, "claim.json", claim)
+    code, out = run_cli(capsys, "verify", path, "--set", "s", "--expect", claimed)
+    assert code == 3
+    assert "FAIL" in out and "only right" in out
+    code, out = run_cli(capsys, "verify", path, "--set", "s")
+    assert code == 0
+    assert "note: spectrum preserved exactly" in out
+
+
+GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
+
+
+@pytest.mark.parametrize(
+    "graph,argv",
+    [
+        ({"vertices": ["a", "b"], "edges": [{"to": "b", "weight": "1"}]}, ["spectrum"]),
+        ({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "weight": 5}]}, ["spectrum"]),
+        ({"vertices": [1, 2], "edges": []}, ["spectrum"]),
+        ({"vertices": "ab", "edges": []}, ["spectrum"]),
+        ({"vertices": ["a", "b"], "edges": {"from": "a"}}, ["spectrum"]),
+        ({"vertices": ["a", "b"], "edges": ["a->b"]}, ["spectrum"]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE], "undirected": "no"}, ["spectrum"]),
+        (["a", "b"], ["spectrum"]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["reduce", "--set", "a,zz"]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["reduce", "--to", "zz"]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["verify", "--set", "a,zz"]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["expand", "--set", "a,zz"]),
+    ],
+)
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code = main([argv[0], str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_bas_command(tmp_path, capsys):

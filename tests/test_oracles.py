@@ -20,7 +20,7 @@ from isored import (
     spectrum,
 )
 from isored.proptest import random_graph, random_ratfun, random_structural_set
-from isored.structural import ForbiddenSet
+from isored.structural import ForbiddenSet, forbidden_set
 
 from sample_graphs import branch_pair_expanded
 
@@ -106,6 +106,10 @@ def test_dense_solver_on_complete_graph():
     assert spectra_equal_up_to(
         spectrum(complete_graph(4)), sl, ForbiddenSet.empty(), 1e-6
     ).ok
+    # a float list carries no charpoly to strip an exception set from
+    with pytest.raises(ValueError):
+        n = forbidden_set(complete_graph(4), ["v1", "v2", "v3"])
+        spectra_equal_up_to(spectrum(complete_graph(4)), sl, n, 1e-6)
 
 
 def test_dense_solver_on_zero_matrix():

@@ -1,5 +1,6 @@
 """Characteristic determinants, spectra, and forbidden-set filtering."""
 
+import json
 import random
 
 import pytest
@@ -17,10 +18,13 @@ from isored import (
     forbidden_set,
     parse_weight,
     reduce,
+    compare_outside,
+    spectra_agree_outside,
     spectra_equal_up_to,
     spectrum,
     spectrum_minus,
 )
+from isored import proptest
 from isored.proptest import random_graph, random_ratfun
 from isored.scc import scc_partition
 from isored.structural import ForbiddenPoint, ForbiddenSet
@@ -148,6 +152,9 @@ def test_spectra_comparison_reports_mismatch():
     report = spectra_equal_up_to(spectrum(a), spectrum(b), ForbiddenSet.empty(), 1e-9)
     assert not report.ok
     assert report.unmatched_left and report.unmatched_right
+    assert not spectra_agree_outside(spectrum(a), spectrum(b), ForbiddenSet.empty())
+    cmp = compare_outside(spectrum(a), spectrum(b), ForbiddenSet.empty())
+    assert cmp == (False, False, 0, [2], [3])
 
 
 def test_spectra_comparison_self_identity():
@@ -159,6 +166,24 @@ def test_preservation_on_the_expanded_pair():
     g = branch_pair_expanded()
     n = forbidden_set(g, EXPANDED_SET)
     assert spectra_equal_up_to(spectrum(g), spectrum(reduce(g, EXPANDED_SET)), n, 1e-9).ok
+    sg, sr = spectrum(g), spectrum(reduce(g, EXPANDED_SET))
+    assert spectra_agree_outside(sg, sr, n)
+    # 0 and 1 are eigenvalues of G but not of the reduction
+    assert not spectra_agree_outside(sg, sr, ForbiddenSet.empty())
+
+
+def test_preservation_suite_failures_carry_replay_data(monkeypatch):
+    monkeypatch.setattr(proptest, "spectra_agree_outside", lambda left, right, n: False)
+    failures = proptest.spectrum_preservation_suite(cases=4, seed=600).failures
+    assert len(failures) == 4
+    for k, line in enumerate(failures):
+        head, _, rest = line.partition(" graph=")
+        data, end = json.JSONDecoder().raw_decode(rest)
+        assert head.startswith(f"spectrum-preservation seed=600 case={k} set=")
+        assert rest[end:] == ": spectra differ beyond the forbidden set (exact check)"
+        g = WeightedDigraph.from_json_dict(data)
+        s = head.partition(" set=")[2].split(",")
+        assert spectra_agree_outside(spectrum(g), spectrum(reduce(g, s)), forbidden_set(g, s))
 
 
 def test_block_multiplicativity_of_char_det():

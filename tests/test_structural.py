@@ -6,6 +6,7 @@ import pytest
 
 from isored import (
     EmptyBasicSetError,
+    ForbiddenSet,
     RatFun,
     UnknownVertexError,
     WeightedDigraph,
@@ -17,6 +18,7 @@ from isored import (
     is_g_pi,
     is_structural_set,
     parse_weight,
+    sequential_reduce,
 )
 from isored.proptest import random_graph, random_structural_set
 
@@ -83,6 +85,50 @@ def test_forbidden_set_from_rational_loop():
     values = sorted(z.real for z in forbidden_set(g, ["a"]).values())
     golden = sorted([1.0, (1 - 5**0.5) / 2, (1 + 5**0.5) / 2])
     assert values == pytest.approx(golden)
+
+
+def test_forbidden_set_keeps_nearby_distinct_points_apart():
+    # loops 1 and 1 + 1e-12 give the exception points 1 and 1 + 1e-12
+    near = parse_weight("1000000000001/1000000000000")
+    g = WeightedDigraph(
+        ["s", "a", "b"],
+        [
+            ("s", "a", ONE),
+            ("a", "s", ONE),
+            ("s", "b", ONE),
+            ("b", "s", ONE),
+            ("a", "a", ONE),
+            ("b", "b", near),
+        ],
+    )
+    fs = forbidden_set(g, ["s"])
+    assert len(fs) == 2
+    assert fs.poly == parse_weight("(l-1)*(l-1000000000001/1000000000000)").num
+
+
+def test_forbidden_set_counts_shared_roots_once():
+    # complement loops 1, 2/l, 1/(l-1) and -l^2+4l-2 give the witnesses
+    # l-1; l^2-2 and l; l^2-l-1 and l-1 again; and (l-1)(l-2), which
+    # shares the root 1, so N = {0, 1, 2, +-sqrt(2), golden ratios}
+    loops = {"a": "1", "b": "2/l", "c": "1/(l-1)", "d": "-l^2+4*l-2"}
+    g = WeightedDigraph(
+        ["s"] + list(loops),
+        [("s", v, ONE) for v in loops]
+        + [(v, "s", ONE) for v in loops]
+        + [(v, v, parse_weight(w)) for v, w in loops.items()],
+    )
+    fs = forbidden_set(g, ["s"])
+    assert fs.poly == parse_weight("l*(l-1)*(l-2)*(l^2-2)*(l^2-l-1)").num
+    assert len(fs) == 7
+    two = [p for p in fs if abs(p.value - 2) < 1e-9]
+    assert len(two) == 1 and two[0].witness == parse_weight("(l-1)*(l-2)").num
+    both = fs.union(fs)
+    assert both.poly == fs.poly and both.values() == fs.values()
+    # a union re-adds whole witnesses, not the points already trimmed
+    # (here (l-1)(l-2) holds only the root 2 once l-1 is in)
+    for rebuilt in (ForbiddenSet.empty().union(fs), sequential_reduce(g, [["s"]])[1]):
+        assert rebuilt.poly == fs.poly and len(rebuilt) == rebuilt.poly.degree
+        assert rebuilt.values() == fs.values()
 
 
 def test_basic_set_of_bipartite_graph_is_everything():
