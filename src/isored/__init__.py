@@ -6,7 +6,14 @@ adjacency spectrum is allowed to change.  Edge weights live in the field
 of rational functions of one variable with Gaussian-rational
 coefficients, so every reduction, spectrum multiplicity, and equality test
 is exact; floating point enters only when locating roots numerically.
+
+The core modules load with the package.  The names exported from
+``scc``, ``laplacian``, ``isoequiv`` and ``oracles`` load their module on
+first access, so a command that never uses them never imports them, nor
+numpy through ``oracles``.
 """
+
+import importlib
 
 from .ratfun import (
     GaussianRational,
@@ -55,6 +62,7 @@ from .reduction import (
     unique_reduce_to,
     weight_sequence,
 )
+from .roots import RootLocationError
 from .spectrum import (
     SpectralList,
     SpectralPoint,
@@ -66,21 +74,6 @@ from .spectrum import (
     spectrum,
     spectrum_minus,
 )
-from .scc import SccPartition, reduced_scc_check, scc_filter, scc_partition
-from .laplacian import (
-    NotSimpleError,
-    combinatorial_laplacian_graph,
-    generalized_laplacian_graph,
-    normalized_laplacian_graph,
-)
-from .isoequiv import (
-    bas_equivalent,
-    common_reduction,
-    isomorphic,
-    tau_equivalent,
-    tau_min_outdegree_reduce,
-    tau_reduce,
-)
 from .weightset import (
     SUBRING_TESTS,
     WeightOutsideSubringError,
@@ -88,13 +81,44 @@ from .weightset import (
     verify_weightset,
     weightset_reduce,
 )
-from .oracles import (
-    all_paths,
-    det_leibniz,
-    det_ratfun_matrix,
-    eig_dense,
-    reduce_by_paths,
-    spectra_equal_up_to,
-)
+
+_LAZY_NAMES = {
+    "scc": ("SccPartition", "reduced_scc_check", "scc_filter", "scc_partition"),
+    "laplacian": (
+        "NotSimpleError",
+        "combinatorial_laplacian_graph",
+        "generalized_laplacian_graph",
+        "normalized_laplacian_graph",
+    ),
+    "isoequiv": (
+        "bas_equivalent",
+        "common_reduction",
+        "isomorphic",
+        "tau_equivalent",
+        "tau_min_outdegree_reduce",
+        "tau_reduce",
+    ),
+    "oracles": (
+        "all_paths",
+        "det_leibniz",
+        "det_ratfun_matrix",
+        "eig_dense",
+        "reduce_by_paths",
+        "spectra_equal_up_to",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    """Load a non-core module, or one of its exported names, on first access."""
+    if name in _LAZY_NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -17,13 +17,6 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .isoequiv import isomorphic
-from .laplacian import (
-    combinatorial_laplacian_graph,
-    generalized_laplacian_graph,
-    normalized_laplacian_graph,
-)
-from .proptest import run_all
 from .ratfun import ParseError, parse_weight
 from .reduction import (
     FactorizationError,
@@ -33,7 +26,7 @@ from .reduction import (
     sequential_reduce,
     unique_reduce_to,
 )
-from .scc import scc_filter, scc_partition
+from .roots import RootLocationError
 from .spectrum import compare_outside, spectrum
 from .structural import (
     EmptyBasicSetError,
@@ -77,7 +70,8 @@ def _vertex_list(arg: str) -> List[str]:
 
 
 def _fmt_complex(z: complex) -> str:
-    re = z.real + 0.0  # clear negative zero
+    # a part below 1e-12 is root-location noise (or a negative zero)
+    re = z.real if abs(z.real) >= 1e-12 else 0.0
     if abs(z.imag) < 1e-12:
         return f"{re:.12g}"
     sign = "+" if z.imag >= 0 else "-"
@@ -93,7 +87,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _json_text(data) -> str:
-    return json.dumps(data, indent=2)
+    return json.dumps(data, indent=2, allow_nan=False)
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +131,11 @@ def cmd_reduce(args) -> Tuple[int, str]:
 
 def cmd_spectrum(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
-    return EXIT_OK, _json_text(spectrum(g).to_json_dict())
+    try:
+        sl = spectrum(g)
+    except RootLocationError as exc:
+        raise CliError(str(exc), EXIT_PRECONDITION)
+    return EXIT_OK, _json_text(sl.to_json_dict())
 
 
 def cmd_verify(args) -> Tuple[int, str]:
@@ -146,18 +144,18 @@ def cmd_verify(args) -> Tuple[int, str]:
     try:
         n = forbidden_set(g, s)
         reduced = _load_graph(args.expect) if args.expect else reduce(g, s)
+        sg = spectrum(g)
+        sr = spectrum(reduced)
+        cmp = compare_outside(sg, sr, n)
     except UnknownVertexError as exc:
         raise CliError(str(exc), EXIT_INPUT)
-    except StructuralSetError as exc:
+    except (StructuralSetError, RootLocationError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
-    sg = spectrum(g)
-    sr = spectrum(reduced)
     lines = [
         "sigma(G):     " + " ".join(_fmt_complex(z) for z in sg.values()),
         "sigma(R_S):   " + " ".join(_fmt_complex(z) for z in sr.values()),
         "N(G;S):       " + " ".join(_fmt_complex(z) for z in n.values()),
     ]
-    cmp = compare_outside(sg, sr, n)
     if cmp.agree:
         lines.append("PASS: spectra differ at most by N(G;S)")
         if not cmp.touched:
@@ -165,8 +163,8 @@ def cmd_verify(args) -> Tuple[int, str]:
         return EXIT_OK, "\n".join(lines)
     lines.append("FAIL: spectra differ beyond N(G;S)")
     lines.append(f"  spectra differ ({cmp.paired} paired roots)")
-    lines.extend(f"    only left:  {z:.9g}" for z in cmp.only_left)
-    lines.extend(f"    only right: {z:.9g}" for z in cmp.only_right)
+    lines.extend("    only left:  " + _fmt_complex(z) for z in cmp.only_left)
+    lines.extend("    only right: " + _fmt_complex(z) for z in cmp.only_right)
     return EXIT_FAIL, "\n".join(lines)
 
 
@@ -180,6 +178,8 @@ def cmd_bas(args) -> Tuple[int, str]:
 
 
 def cmd_scc(args) -> Tuple[int, str]:
+    from .scc import scc_filter, scc_partition
+
     g = _load_graph(args.graph)
     if args.filter:
         return EXIT_OK, _json_text(scc_filter(g).to_json_dict())
@@ -219,6 +219,12 @@ def cmd_bisect(args) -> Tuple[int, str]:
 
 
 def cmd_laplacian(args) -> Tuple[int, str]:
+    from .laplacian import (
+        combinatorial_laplacian_graph,
+        generalized_laplacian_graph,
+        normalized_laplacian_graph,
+    )
+
     g = _load_graph(args.graph)
     kind = args.laplacian
     try:
@@ -251,6 +257,8 @@ def cmd_weightset(args) -> Tuple[int, str]:
 
 
 def cmd_isocheck(args) -> Tuple[int, str]:
+    from .isoequiv import isomorphic
+
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
     witness = isomorphic(g, h)
@@ -262,6 +270,8 @@ def cmd_isocheck(args) -> Tuple[int, str]:
 
 
 def cmd_proptest(args) -> Tuple[int, str]:
+    from .proptest import run_all
+
     results = run_all(cases=args.cases, seed=args.seed)
     lines = [r.summary() for r in results]
     bad = [r for r in results if not r.ok]

@@ -24,7 +24,8 @@ The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
 ``rational`` is lexed greedily, so ``3/2`` is a single rational atom and
 ``3/2i`` means (3/2)*i.  The unicode variable name is also accepted on
-input; :func:`format_weight` always emits ``l``.
+input; :func:`format_weight` always emits ``l``.  Parentheses may nest
+at most ``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -596,6 +597,10 @@ def format_weight(r: RatFun) -> str:
 
 _VAR_NAMES = ("lambda", "l", "λ")
 
+# the parser recurses through four frames per parenthesis level, so this
+# bound keeps it well inside Python's default limit of 1000 frames
+MAX_PAREN_DEPTH = 200
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -670,6 +675,7 @@ class _Lexer:
 class _Parser:
     def __init__(self, text: str):
         self.lex = _Lexer(text)
+        self.depth = 0
 
     def parse(self) -> RatFun:
         value = self.expr()
@@ -736,7 +742,11 @@ class _Parser:
         if kind == "var":
             return RF_VAR
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
             value = self.expr()
+            self.depth -= 1
             ckind, _, cpos = self.lex.next()
             if ckind != ")":
                 raise ParseError("expected ')'", cpos)

@@ -9,17 +9,30 @@ Double precision locates a cluster of nearly coincident simple roots only
 to about the square root of machine epsilon, so when companion roots come
 out closer than a cluster threshold the factor is re-solved with mpmath at
 50 digits; elsewhere plain float arithmetic is plenty.
+
+A degree-1 factor is solved by one division, so numpy is imported only
+when the first factor of degree 2 or more is met, and mpmath only at the
+first cluster: a command whose polynomials are all linear loads neither.
+
+Roots are located in double precision or not at all.  When a coefficient
+or a root falls outside the double range (it overflows, or Newton's
+method leaves it infinite or NaN), or mpmath does not converge on a
+cluster, ``RootLocationError`` is raised; no NaN or infinite root is
+ever returned.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import List, Tuple
-
-import numpy as np
 
 from .ratfun import Poly, squarefree_decompose
 
 _CLUSTER_TOL = 1e-5
+
+
+class RootLocationError(ValueError):
+    """The roots of a polynomial cannot be located in double precision."""
 
 
 def _newton_polish(f: Poly, roots: List[complex]) -> List[complex]:
@@ -51,6 +64,7 @@ def _has_cluster(roots: List[complex]) -> bool:
 
 def _roots_high_precision(f: Poly) -> List[complex]:
     import mpmath
+    from mpmath.libmp import NoConvergence
 
     with mpmath.workdps(50):
         coeffs = []
@@ -58,24 +72,42 @@ def _roots_high_precision(f: Poly) -> List[complex]:
             re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
             im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
             coeffs.append(mpmath.mpc(re, im))
-        found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        try:
+            found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        except NoConvergence:
+            raise _refusal(f, "mpmath does not converge on its root cluster") from None
         return [complex(z) for z in found]
+
+
+def _refusal(f: Poly, why: str) -> RootLocationError:
+    return RootLocationError(f"cannot locate the roots of a degree-{f.degree} factor: {why}")
+
+
+def _all_finite(values: List[complex]) -> bool:
+    return all(cmath.isfinite(z) for z in values)
 
 
 def _squarefree_roots(f: Poly) -> List[complex]:
     deg = f.degree
-    coeffs = [c.to_complex() for c in f.coeffs]
+    try:
+        coeffs = [c.to_complex() for c in f.coeffs]
+        monic = [c / coeffs[-1] for c in coeffs[:-1]]
+    except (OverflowError, ZeroDivisionError):
+        raise _refusal(f, "its coefficients leave double range") from None
+    if not _all_finite(monic):
+        raise _refusal(f, "its coefficients leave double range")
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs[:-1]]
+    import numpy as np
+
     comp = np.zeros((deg, deg), dtype=complex)
     comp[1:, :-1] = np.eye(deg - 1)
     comp[:, -1] = [-c for c in monic]
     roots = list(np.linalg.eigvals(comp))
-    if _has_cluster(roots):
-        return _roots_high_precision(f)
-    return _newton_polish(f, roots)
+    roots = _roots_high_precision(f) if _has_cluster(roots) else _newton_polish(f, roots)
+    if not _all_finite(roots):
+        raise _refusal(f, "its root estimates leave double range")
+    return roots
 
 
 def poly_roots(p: Poly) -> List[Tuple[complex, int, Poly]]:

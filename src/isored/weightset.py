@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .isoequiv import isomorphic
 from .ratfun import RatFun, format_weight
 from .reduction import Branch, _branches_from, reduce
 from .structural import basic_structural_set
@@ -226,6 +225,8 @@ def verify_weightset(
                 )
         else:
             lines.append("all output weights inside the subring")
+
+    from .isoequiv import isomorphic
 
     rg = reduce(g, basic_structural_set(g))
     rr = reduce(reduced, basic_structural_set(reduced))

@@ -1,10 +1,14 @@
 """End-to-end command-line behavior, including the golden verify runs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import isored
 
 from isored import (
     RatFun,
@@ -13,7 +17,7 @@ from isored import (
     complete_graph,
     parse_weight,
 )
-from isored.cli import main
+from isored.cli import _fmt_complex, main
 
 from sample_graphs import (
     branch_pair_compact,
@@ -188,7 +192,7 @@ def test_verify_claim_with_eigenvalue_just_off_the_exception_set_fails(tmp_path,
     claimed = write_graph(tmp_path, "claim.json", claim)
     code, out = run_cli(capsys, "verify", path, "--set", "s", "--expect", claimed)
     assert code == 3
-    assert "FAIL" in out and "only right" in out
+    assert "FAIL" in out and "only right: 1.0000000001\n" in out
     code, out = run_cli(capsys, "verify", path, "--set", "s")
     assert code == 0
     assert "note: spectrum preserved exactly" in out
@@ -212,6 +216,10 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
         ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["reduce", "--to", "zz"]),
         ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["verify", "--set", "a,zz"]),
         ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["expand", "--set", "a,zz"]),
+        (
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "(" * 5000 + "l" + ")" * 5000}]},
+            ["spectrum"],
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -223,6 +231,36 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, ar
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "vertices,argv",
+    [(["v"], ["spectrum"]), (["v"], ["verify", "--set", "v"]), (["s", "v"], ["reduce", "--set", "s"])],
+)
+@pytest.mark.parametrize(
+    "loop",
+    [
+        "l^3+10^400",  # a coefficient overflows a double
+        "10^300*l^3+l+1",  # mpmath does not converge on the tiny root cluster
+        "(l+1)^250",  # Newton steps leave double range (NaN roots at the parent)
+    ],
+)
+def test_roots_outside_double_range_exit_2_with_one_error_line(tmp_path, capsys, loop, vertices, argv):
+    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": loop}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code = main([argv[0], str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot locate the roots")
+
+
+def test_fmt_complex_clears_noise_in_either_part():
+    assert _fmt_complex(1e-17 + 1.7320508075688772j) == "0+1.73205080757i"
+    assert _fmt_complex(1.0000000001 - 0j) == "1.0000000001"
+    assert _fmt_complex(-0.0 - 1e-30j) == "0"
 
 
 def test_bas_command(tmp_path, capsys):
@@ -371,3 +409,86 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all ok" in proc.stdout
+
+
+SRC = str(Path(isored.__file__).resolve().parent.parent)
+WARMUP = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"from": "a", "to": "b", "weight": "2"},
+        {"from": "b", "to": "a", "weight": "1/(l-1)"},
+        {"from": "a", "to": "a", "weight": "1"},
+    ],
+}
+UNDIRECTED_EDGE = {"vertices": ["a", "b"], "edges": [GOOD_EDGE], "undirected": True}
+# what a command that locates no root of degree >= 2 has no use for
+NOT_AT_START = {"numpy", "scipy", "mpmath", "isored.proptest", "isored.oracles", "isored.laplacian"}
+
+
+def run_fresh(script, *argv):
+    """Run ``script`` in a fresh interpreter that imports this isored."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+
+
+STARTUP_ROWS = [
+    (["reduce", "--set", "a"], WARMUP, set()),
+    (["bas"], WARMUP, set()),
+    (["scc"], WARMUP, set()),
+    (["expand", "--set", "a"], WARMUP, set()),
+    (["bisect", "--edge", "a,b", "--w-in", "2*l", "--w-loop", "0", "--w-out", "1"], WARMUP, set()),
+    (["laplacian"], UNDIRECTED_EDGE, {"isored.laplacian"}),
+    (["spectrum"], WARMUP, {"numpy"}),
+    (["verify", "--set", "a"], WARMUP, {"numpy"}),
+]
+
+
+@pytest.mark.parametrize("argv,graph,needed", STARTUP_ROWS, ids=[row[0][0] for row in STARTUP_ROWS])
+def test_command_loads_only_what_it_runs(tmp_path, argv, graph, needed):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    script = (
+        "import sys, isored.cli\n"
+        "code = isored.cli.main(sys.argv[1:])\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_fresh(script, argv[0], str(path), *argv[1:], "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert needed <= loaded
+    assert not (NOT_AT_START - needed) & loaded
+
+
+# every name ``isored`` bound when all its modules loaded with the package
+PACKAGE_NAMES = """
+Branch DuplicateEdgeError EmptyBasicSetError FactorizationError ForbiddenPoint ForbiddenSet
+GaussianRational GraphError NotSimpleError ParseError Poly RatFun SUBRING_TESTS SccPartition
+SpectralList SpectralPoint StructuralSetError UnknownVertexError WeightOutsideSubringError
+WeightedDigraph all_branches all_paths bas_equivalent basic_structural_set branch_decomposition
+branch_product char_det char_matrix charpoly_numerators_equal check_structural_set
+combinatorial_laplacian_graph common_decomposition common_reduction compare_outside
+complete_bipartite_graph complete_graph det_leibniz det_ratfun_matrix eig_dense
+enumerate_branches expand expected_vertex_count forbidden_set format_weight
+generalized_laplacian_graph is_g_pi is_structural_set isoequiv isomorphic laplacian loop_bisect
+merge_parallel normalized_laplacian_graph oracles parse_weight poly_gcd prune_off_branch ratfun
+reduce reduce_by_paths reduced_scc_check reduction remove_vertex roots scc scc_filter
+scc_partition sequential_reduce spectra_agree_outside spectra_equal_up_to spectrum
+spectrum_minus squarefree_decompose structural tau_equivalent tau_min_outdegree_reduce
+tau_reduce unique_reduce_to verify_weightset weight_sequence weightset weightset_reduce wgraph
+""".split()
+
+
+def test_package_names_resolve_in_a_fresh_interpreter():
+    script = (
+        "import sys, types, isored, isored.spectrum\n"
+        "from isored import spectrum\n"
+        "assert isinstance(spectrum, types.FunctionType), spectrum\n"
+        "missing = [n for n in sys.argv[1:] if not hasattr(isored, n)]\n"
+        "assert not missing, missing\n"
+        "assert isored.isomorphic is isored.isoequiv.isomorphic\n"
+    )
+    proc = run_fresh(script, *PACKAGE_NAMES)
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from isored.ratfun import (
+    MAX_PAREN_DEPTH,
     GaussianRational,
     NEG_INF,
     ParseError,
@@ -145,6 +146,14 @@ def test_parse_error_carries_position():
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         rf("l + 1)")
+
+
+def test_parse_nesting_up_to_the_depth_bound():
+    assert rf("(" * 150 + "l+1" + ")" * 150) == L + ONE
+    assert rf("(" * MAX_PAREN_DEPTH + "l" + ")" * MAX_PAREN_DEPTH) == L
+    with pytest.raises(ParseError) as err:
+        rf("(" * (MAX_PAREN_DEPTH + 1) + "l" + ")" * (MAX_PAREN_DEPTH + 1))
+    assert err.value.position == MAX_PAREN_DEPTH
 
 
 def test_format_zero():
