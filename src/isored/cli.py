@@ -8,6 +8,9 @@ spectrum roots print as decimals with 12 significant digits.
 
 Exit codes: 0 success or PASS, 1 malformed input, 2 violated mathematical
 precondition (for example a non-structural set), 3 verification FAIL.
+Handlers catch nothing; ``main`` maps what they raise.  A usage error, a
+``CliError``, an ``UnknownVertexError`` or a ``ParseError`` is malformed
+input; any other ``ValueError`` is a violated precondition.
 """
 
 from __future__ import annotations
@@ -18,23 +21,10 @@ import sys
 from typing import List, Optional, Tuple
 
 from .ratfun import ParseError, parse_weight
-from .reduction import (
-    FactorizationError,
-    expand,
-    loop_bisect,
-    reduce,
-    sequential_reduce,
-    unique_reduce_to,
-)
-from .roots import RootLocationError
+from .reduction import expand, loop_bisect, reduce, sequential_reduce, unique_reduce_to
 from .spectrum import compare_outside, spectrum
-from .structural import (
-    EmptyBasicSetError,
-    StructuralSetError,
-    basic_structural_set,
-    forbidden_set,
-)
-from .weightset import SUBRING_TESTS, WeightOutsideSubringError, verify_weightset, weightset_reduce
+from .structural import basic_structural_set, forbidden_set
+from .weightset import SUBRING_TESTS, verify_weightset, weightset_reduce
 from .wgraph import GraphError, UnknownVertexError, WeightedDigraph
 
 EXIT_OK = 0
@@ -44,28 +34,30 @@ EXIT_FAIL = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """Malformed command-line input."""
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}")
 
 
 def _load_graph(path: str) -> WeightedDigraph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return WeightedDigraph.from_json_dict(data)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_INPUT)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}", EXIT_INPUT)
+        return WeightedDigraph.from_json_dict(_read_json(path))
     except (ParseError, GraphError) as exc:
-        raise CliError(f"{path}: {exc}", EXIT_INPUT)
+        raise CliError(f"{path}: {exc}")
 
 
 def _vertex_list(arg: str) -> List[str]:
     out = [v.strip() for v in arg.split(",") if v.strip()]
     if not out:
-        raise CliError("empty vertex list", EXIT_INPUT)
+        raise CliError("empty vertex list")
     return out
 
 
@@ -99,29 +91,20 @@ def cmd_reduce(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
     chosen = [bool(args.set), bool(args.seq), bool(args.to)]
     if sum(chosen) != 1:
-        raise CliError("choose exactly one of --set, --seq, --to", EXIT_INPUT)
-    try:
-        if args.set:
-            s = _vertex_list(args.set)
-            n = forbidden_set(g, s)
-            reduced = reduce(g, s)
-        elif args.to:
-            reduced, n = unique_reduce_to(g, _vertex_list(args.to))
-        else:
-            try:
-                with open(args.seq, "r", encoding="utf-8") as fh:
-                    seq = json.load(fh)
-            except OSError as exc:
-                raise CliError(f"cannot read {args.seq}: {exc}", EXIT_INPUT)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{args.seq}: invalid JSON: {exc}", EXIT_INPUT)
-            if not isinstance(seq, list) or not all(isinstance(s, list) for s in seq):
-                raise CliError(f"{args.seq}: expected a JSON list of vertex lists", EXIT_INPUT)
-            reduced, n = sequential_reduce(g, seq)
-    except UnknownVertexError as exc:
-        raise CliError(str(exc), EXIT_INPUT)
-    except (StructuralSetError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+        raise CliError("choose exactly one of --set, --seq, --to")
+    if args.set:
+        s = _vertex_list(args.set)
+        n = forbidden_set(g, s)
+        reduced = reduce(g, s)
+    elif args.to:
+        reduced, n = unique_reduce_to(g, _vertex_list(args.to))
+    else:
+        seq = _read_json(args.seq)
+        if not isinstance(seq, list) or not all(
+            isinstance(step, list) and all(isinstance(v, str) for v in step) for step in seq
+        ):
+            raise CliError(f"{args.seq}: expected a JSON list of vertex lists")
+        reduced, n = sequential_reduce(g, seq)
     payload = {
         "graph": reduced.to_json_dict(),
         "forbidden_set": n.to_json_dict(),
@@ -131,26 +114,17 @@ def cmd_reduce(args) -> Tuple[int, str]:
 
 def cmd_spectrum(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
-    try:
-        sl = spectrum(g)
-    except RootLocationError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
-    return EXIT_OK, _json_text(sl.to_json_dict())
+    return EXIT_OK, _json_text(spectrum(g).to_json_dict())
 
 
 def cmd_verify(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
     s = _vertex_list(args.set)
-    try:
-        n = forbidden_set(g, s)
-        reduced = _load_graph(args.expect) if args.expect else reduce(g, s)
-        sg = spectrum(g)
-        sr = spectrum(reduced)
-        cmp = compare_outside(sg, sr, n)
-    except UnknownVertexError as exc:
-        raise CliError(str(exc), EXIT_INPUT)
-    except (StructuralSetError, RootLocationError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    n = forbidden_set(g, s)
+    reduced = _load_graph(args.expect) if args.expect else reduce(g, s)
+    sg = spectrum(g)
+    sr = spectrum(reduced)
+    cmp = compare_outside(sg, sr, n)
     lines = [
         "sigma(G):     " + " ".join(_fmt_complex(z) for z in sg.values()),
         "sigma(R_S):   " + " ".join(_fmt_complex(z) for z in sr.values()),
@@ -170,10 +144,7 @@ def cmd_verify(args) -> Tuple[int, str]:
 
 def cmd_bas(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
-    try:
-        bas = basic_structural_set(g)
-    except EmptyBasicSetError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    bas = basic_structural_set(g)
     return EXIT_OK, _json_text({"basic_structural_set": list(bas)})
 
 
@@ -189,12 +160,7 @@ def cmd_scc(args) -> Tuple[int, str]:
 
 def cmd_expand(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
-    try:
-        x = expand(g, _vertex_list(args.set))
-    except UnknownVertexError as exc:
-        raise CliError(str(exc), EXIT_INPUT)
-    except StructuralSetError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    x = expand(g, _vertex_list(args.set))
     return EXIT_OK, _json_text(x.to_json_dict())
 
 
@@ -202,19 +168,13 @@ def cmd_bisect(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
     endpoints = _vertex_list(args.edge)
     if len(endpoints) != 2:
-        raise CliError("--edge wants 'from,to'", EXIT_INPUT)
-    try:
-        w_in = parse_weight(args.w_in)
-        w_loop = parse_weight(args.w_loop)
-        w_out = parse_weight(args.w_out)
-    except ParseError as exc:
-        raise CliError(str(exc), EXIT_INPUT)
-    try:
-        out = loop_bisect(
-            g, (endpoints[0], endpoints[1]), w_in, w_loop, w_out, args.vertex
-        )
-    except (FactorizationError, GraphError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+        raise CliError("--edge wants 'from,to'")
+    w_in = parse_weight(args.w_in)
+    w_loop = parse_weight(args.w_loop)
+    w_out = parse_weight(args.w_out)
+    out = loop_bisect(
+        g, (endpoints[0], endpoints[1]), w_in, w_loop, w_out, args.vertex
+    )
     return EXIT_OK, _json_text(out.to_json_dict())
 
 
@@ -227,27 +187,21 @@ def cmd_laplacian(args) -> Tuple[int, str]:
 
     g = _load_graph(args.graph)
     kind = args.laplacian
-    try:
-        if kind == "comb":
-            out = combinatorial_laplacian_graph(g)
-        elif kind == "norm":
-            out = normalized_laplacian_graph(g, mode="numeric")
-        elif kind == "norm-exact":
-            out = normalized_laplacian_graph(g, mode="exact-similar")
-        else:
-            out = generalized_laplacian_graph(g)
-    except GraphError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    if kind == "comb":
+        out = combinatorial_laplacian_graph(g)
+    elif kind == "norm":
+        out = normalized_laplacian_graph(g, mode="numeric")
+    elif kind == "norm-exact":
+        out = normalized_laplacian_graph(g, mode="exact-similar")
+    else:
+        out = generalized_laplacian_graph(g)
     return EXIT_OK, _json_text(out.to_json_dict())
 
 
 def cmd_weightset(args) -> Tuple[int, str]:
     g = _load_graph(args.graph)
     test = SUBRING_TESTS[args.subring]
-    try:
-        reduced = weightset_reduce(g, test)
-    except (WeightOutsideSubringError, EmptyBasicSetError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    reduced = weightset_reduce(g, test)
     report = verify_weightset(g, reduced, test)
     payload = {
         "graph": reduced.to_json_dict(),
@@ -288,8 +242,16 @@ def cmd_proptest(args) -> Tuple[int, str]:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other malformed input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="isored",
         description="Isospectral reductions of weighted digraphs",
     )
@@ -365,9 +327,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        malformed = isinstance(exc, (CliError, UnknownVertexError, ParseError))
+        return EXIT_INPUT if malformed else EXIT_PRECONDITION
     _emit(text, args.out)
     return code
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable
+from typing import Iterable, List, Sequence
 
 NEG_INF = float("-inf")
 
@@ -270,13 +270,21 @@ class Poly:
         )
 
     def eval_complex(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c.to_complex()
-        return out
+        return horner(self.complex_coeffs(), z)
+
+    def complex_coeffs(self) -> List[complex]:
+        return [c.to_complex() for c in self.coeffs]
 
     def __repr__(self):
         return f"Poly({poly_to_string(self)!r})"
+
+
+def horner(coeffs: Sequence[complex], z: complex) -> complex:
+    """Value at ``z`` of the ascending-degree coefficients ``coeffs``."""
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
 
 
 _P_ZERO = Poly.__new__(Poly)
@@ -341,10 +349,11 @@ class RatFun:
             self.num = _P_ZERO
             self.den = _P_ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        if num.degree > 0 and den.degree > 0:  # else the gcd is 1
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
         lead = den.leading()
         if lead != GR_ONE:
             inv = lead.inverse()

@@ -30,7 +30,7 @@ from .structural import (
     require_g_pi,
     require_structural_set,
 )
-from .wgraph import UnknownVertexError, WeightedDigraph
+from .wgraph import GraphError, UnknownVertexError, WeightedDigraph
 
 
 class Branch:
@@ -312,7 +312,7 @@ def loop_bisect(
     through a fresh looped vertex carrying exactly those three weights."""
     i, k = edge
     if not g.has_edge(i, k):
-        raise UnknownVertexError(f"no edge {i!r}->{k!r} to bisect")
+        raise GraphError(f"no edge {i!r}->{k!r} to bisect")
     lam = RatFun.var()
     if w_loop == lam:
         raise FactorizationError("bisection loop weight may not equal the variable l")

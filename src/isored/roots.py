@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 from typing import List, Tuple
 
-from .ratfun import Poly, squarefree_decompose
+from .ratfun import Poly, horner, squarefree_decompose
 
 _CLUSTER_TOL = 1e-5
 
@@ -36,13 +36,14 @@ class RootLocationError(ValueError):
 
 
 def _newton_polish(f: Poly, roots: List[complex]) -> List[complex]:
-    df = f.derivative()
+    fc = f.complex_coeffs()
+    dfc = f.derivative().complex_coeffs()
     polished = []
     for r in roots:
         z = complex(r)
         for _ in range(12):
-            fz = f.eval_complex(z)
-            dz = df.eval_complex(z)
+            fz = horner(fc, z)
+            dz = horner(dfc, z)
             if dz == 0:
                 break
             step = fz / dz
@@ -90,7 +91,7 @@ def _all_finite(values: List[complex]) -> bool:
 def _squarefree_roots(f: Poly) -> List[complex]:
     deg = f.degree
     try:
-        coeffs = [c.to_complex() for c in f.coeffs]
+        coeffs = f.complex_coeffs()
         monic = [c / coeffs[-1] for c in coeffs[:-1]]
     except (OverflowError, ZeroDivisionError):
         raise _refusal(f, "its coefficients leave double range") from None

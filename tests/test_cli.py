@@ -220,17 +220,103 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "(" * 5000 + "l" + ")" * 5000}]},
             ["spectrum"],
         ),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["reduce", "--seq", [[["a"]]]]),
+        ({"vertices": ["a", "b"], "edges": [GOOD_EDGE]}, ["reduce", "--seq", {"steps": [["a"]]}]),
+        (
+            {"vertices": ["a", "b"], "edges": [GOOD_EDGE]},
+            ["bisect", "--edge", "a,b", "--w-in", "1+#", "--w-loop", "0", "--w-out", "1"],
+        ),
+        pytest.param(b"\xff\xfe not utf-8", ["spectrum"], id="graph-not-utf-8"),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(graph))
-    code = main([argv[0], str(path)] + argv[1:])
-    captured = capsys.readouterr()
+    code, captured = run_on_files(tmp_path, capsys, graph, argv)
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def run_on_files(tmp_path, capsys, graph, argv):
+    """Run ``argv[0] g.json argv[1:]``; ``graph`` is written as JSON (or as
+    raw bytes), and so is every non-string argument, which is replaced by
+    its file's path."""
+    path = tmp_path / "g.json"
+    if isinstance(graph, bytes):
+        path.write_bytes(graph)
+    else:
+        path.write_text(json.dumps(graph))
+    rest = []
+    for k, arg in enumerate(argv[1:]):
+        if not isinstance(arg, str):
+            arg_path = tmp_path / f"arg{k}.json"
+            arg_path.write_text(json.dumps(arg))
+            arg = str(arg_path)
+        rest.append(arg)
+    code = main([argv[0], str(path)] + rest)
+    return code, capsys.readouterr()
+
+
+def _edges(*triples):
+    return [{"from": u, "to": v, "weight": w} for u, v, w in triples]
+
+
+# the complement of {a} holds the cycle b -> c -> b
+NON_STRUCTURAL = {"vertices": ["a", "b", "c"], "edges": _edges(("a", "b", "1"), ("b", "c", "1"), ("c", "b", "1"), ("c", "a", "1"))}
+POLE = {"vertices": ["a", "b"], "edges": _edges(("a", "b", "1/l"))}
+BISECT = ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "0", "--w-out", "1"]
+
+
+@pytest.mark.parametrize(
+    "graph,argv",
+    [
+        (NON_STRUCTURAL, ["reduce", "--set", "a"]),
+        ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "l"), ("b", "a", "1"))}, ["reduce", "--to", "a"]),
+        (NON_STRUCTURAL, ["reduce", "--seq", [["a", "b", "c"], []]]),
+        (NON_STRUCTURAL, ["verify", "--set", "a"]),
+        (NON_STRUCTURAL, ["expand", "--set", "a"]),
+        ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1"))}, ["bas"]),
+        (POLE, ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "1", "--w-out", "1"]),
+        (POLE, ["bisect", "--edge", "b,a", "--w-in", "1", "--w-loop", "0", "--w-out", "1"]),
+        (POLE, BISECT + ["--vertex", "b"]),
+        ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1"))}, ["laplacian", "--laplacian", "comb"]),
+        ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1/2"), ("b", "a", "1"))}, ["weightset", "--subring", "int"]),
+    ],
+    ids=[
+        "reduce-set-non-structural",
+        "reduce-to-positive-degree-gap",
+        "reduce-seq-empty-step",
+        "verify-non-structural",
+        "expand-non-structural",
+        "bas-no-basic-set",
+        "bisect-bad-factorization",
+        "bisect-missing-edge",
+        "bisect-existing-vertex",
+        "laplacian-not-simple",
+        "weightset-outside-subring",
+    ],
+)
+def test_violated_precondition_exits_2_with_one_error_line(tmp_path, capsys, graph, argv):
+    code, captured = run_on_files(tmp_path, capsys, graph, argv)
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "g.json"], ["proptest", "--cases", "x"], ["no-such-command"]],
+    ids=["verify-without-set", "proptest-cases-not-int", "unknown-command"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("isored")
+    assert "error: " in captured.err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
