@@ -45,6 +45,8 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply")
 
 
 def _load_graph(path: str) -> WeightedDigraph:
@@ -72,8 +74,11 @@ def _fmt_complex(z: complex) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}")
     else:
         print(text)
 
@@ -327,11 +332,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)
+        _emit(text, args.out)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         malformed = isinstance(exc, (CliError, UnknownVertexError, ParseError))
         return EXIT_INPUT if malformed else EXIT_PRECONDITION
-    _emit(text, args.out)
     return code
 
 

@@ -120,6 +120,48 @@ def random_ratfun(rng: random.Random, max_deg: int = 3) -> RatFun:
             return RatFun(num, den)
 
 
+def random_related_pair(rng: random.Random):
+    """Two canonical weights whose denominators share factors.
+
+    Both denominators are products of powers 0-2 of the same three monic
+    linear factors, so a shared factor comes at equal or unequal
+    multiplicities; numerators are random polynomials times some of those
+    factors.  Half the time the second weight is ``c - a`` for a third such
+    weight ``c`` (built by the constructor), so ``a + b = c`` cancels a
+    factor of gcd(den a, den b) against the numerator of the sum.
+    """
+    factors = [
+        Poly([GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)), GaussianRational(1)])
+        for _ in range(3)
+    ]
+
+    def draw() -> RatFun:
+        num, den = random_poly(rng, 1), Poly.one()
+        for f in factors:
+            den = den * f ** rng.randint(0, 2)
+            if rng.random() < 0.3:
+                num = num * f
+        return RatFun(num, den)
+
+    a, b = draw(), draw()
+    if rng.random() < 0.5:
+        b = RatFun(b.num * a.den - a.num * b.den, b.den * a.den)
+    return a, b
+
+
+def cross_product_mismatches(a: RatFun, b: RatFun) -> List[str]:
+    """Those of a+b, a-b, a*b and a/b whose num/den differs from the
+    full-gcd constructor applied to the unreduced cross products."""
+    checks = [
+        ("a+b", a + b, RatFun(a.num * b.den + b.num * a.den, a.den * b.den)),
+        ("a-b", a - b, RatFun(a.num * b.den - b.num * a.den, a.den * b.den)),
+        ("a*b", a * b, RatFun(a.num * b.num, a.den * b.den)),
+    ]
+    if b:
+        checks.append(("a/b", a / b, RatFun(a.num * b.den, a.den * b.num)))
+    return [label for label, got, want in checks if got.num != want.num or got.den != want.den]
+
+
 def random_graph(
     rng: random.Random,
     max_n: int = 8,
@@ -208,6 +250,14 @@ def field_axiom_suite(cases: int = 300, seed: int = 0) -> SuiteResult:
         if not scale.is_zero() and not a.is_zero():
             if RatFun(a.num * scale, a.den * scale) != a:
                 failures.append(f"case {k}: canonicalization not idempotent")
+        # operands with shared denominator factors, drawn from their own
+        # stream so the cases above stay as they were
+        u, v = random_related_pair(random.Random(f"field-axioms/{seed}/{k}"))
+        for label in cross_product_mismatches(u, v):
+            failures.append(
+                f"field-axioms seed={seed} case={k}: {label} differs from the "
+                f"full-gcd constructor, a={format_weight(u)} b={format_weight(v)}"
+            )
     return SuiteResult("field-axioms", cases, failures)
 
 

@@ -13,6 +13,23 @@ Because the denominator is monic and common factors are always removed,
 every field element has exactly one representation, so ``==`` on RatFun is
 field equality.  All three types are immutable and hashable.
 
+``RatFun(num, den)`` is the general canonicaliser: it divides out
+gcd(num, den).  The field operations never call it on a cross product.
+Their operands are already coprime, so Henrici's algorithms (Knuth, TAOCP
+vol. 2, 4.5.1) need only gcds of the operands' own parts:
+
+* a/b + c/d with g = gcd(b, d), b = b1*g, d = d1*g: t = a*d1 + c*b1 is
+  coprime to b1 and to d1, so only h = gcd(t, g) can cancel, and
+  (t/h) / (b1*(d/h)) is coprime.  With g = 1 (in particular when b or d
+  is the constant 1) there is nothing to cancel at all.
+* (a/b)*(c/d): a is coprime to b and c to d, so cancelling gcd(a, d)
+  and gcd(c, b) leaves a coprime product; a quotient is the product with
+  c/d inverted, and a power num^n/den^n is coprime as it stands.
+
+What is left is making the denominator monic.  The result is the same
+canonical form the general canonicaliser gives, at the cost of gcds of
+polynomials about half the degree of the cross products.
+
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
     expr     := term (('+'|'-') term)*
@@ -219,8 +236,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def divmod(self, other: "Poly"):
@@ -349,18 +367,7 @@ class RatFun:
             self.num = _P_ZERO
             self.den = _P_ONE
             return
-        if num.degree > 0 and den.degree > 0:  # else the gcd is 1
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        lead = den.leading()
-        if lead != GR_ONE:
-            inv = lead.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(*_cancel(num, den))
 
     # -- constructors -------------------------------------------------
 
@@ -409,48 +416,52 @@ class RatFun:
         return hash((self.num.coeffs, self.den.coeffs))
 
     # -- field operations ---------------------------------------------
+    # Henrici's algorithms: see the module docstring.
 
     def __add__(self, other):
-        if not self.num.coeffs:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
             return other
-        if not other.num.coeffs:
+        if not c.coeffs:
             return self
-        return RatFun(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _P_ONE
+        if g.degree > 0:
+            b1 = b.exact_div(g)
+            t = a * d.exact_div(g) + c * b1
+            if t.coeffs:
+                h = poly_gcd(t, g)
+                if h.degree > 0:
+                    t = t.exact_div(h)
+                    d = d.exact_div(h)
+            b = b1
+        else:
+            t = a * d + c * b
+        if not t.coeffs:
+            return RF_ZERO
+        return _coprime(t, b * d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = RatFun.__new__(RatFun)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _coprime(-self.num, self.den)
 
     def __mul__(self, other):
         if not self.num.coeffs or not other.num.coeffs:
             return RF_ZERO
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         if not self.num.coeffs:
             return RF_ZERO
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __pow__(self, n: int):
         if n < 0:
             return RF_ONE / (self ** (-n))
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _coprime(self.num ** n, self.den ** n)
 
     def inverse(self) -> "RatFun":
         return RF_ONE / self
@@ -483,6 +494,40 @@ class RatFun:
 
     def __str__(self):
         return format_weight(self)
+
+
+def _monic_den(num: Poly, den: Poly):
+    """``num`` and ``den`` scaled so that ``den`` is monic."""
+    lead = den.coeffs[-1]
+    if lead != GR_ONE:
+        inv = lead.inverse()
+        return num.scale(inv), den.scale(inv)
+    return num, den
+
+
+def _coprime(num: Poly, den: Poly) -> RatFun:
+    """``num/den`` for coprime ``num`` and nonzero ``den``: there is nothing
+    to cancel, so this only makes the denominator monic."""
+    out = RatFun.__new__(RatFun)
+    out.num, out.den = _monic_den(num, den)
+    return out
+
+
+def _cancel(p: Poly, q: Poly):
+    """``p/g, q/g`` for ``g = gcd(p, q)``; a constant side has g = 1."""
+    if p.degree > 0 and q.degree > 0:
+        g = poly_gcd(p, q)
+        if g.degree > 0:
+            return p.exact_div(g), q.exact_div(g)
+    return p, q
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
+    """``(a/b)(c/d)`` for coprime pairs (a, b) and (c, d), cancelling a
+    against d and c against b before multiplying."""
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _coprime(a * c, b * d)
 
 
 RF_ZERO = RatFun.__new__(RatFun)

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
@@ -227,6 +227,12 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             ["bisect", "--edge", "a,b", "--w-in", "1+#", "--w-loop", "0", "--w-out", "1"],
         ),
         pytest.param(b"\xff\xfe not utf-8", ["spectrum"], id="graph-not-utf-8"),
+        pytest.param(b"[" * 100000, ["spectrum"], id="json-nested-too-deeply"),
+        pytest.param(
+            {"vertices": ["a", "b"], "edges": [GOOD_EDGE]},
+            ["spectrum", "--out", PurePath("missing_dir", "x.json")],
+            id="out-dir-missing",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -239,8 +245,9 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, ar
 
 def run_on_files(tmp_path, capsys, graph, argv):
     """Run ``argv[0] g.json argv[1:]``; ``graph`` is written as JSON (or as
-    raw bytes), and so is every non-string argument, which is replaced by
-    its file's path."""
+    raw bytes), and so is every argument that is neither a string nor a
+    path, which is replaced by its file's path.  A path argument is taken
+    relative to ``tmp_path``."""
     path = tmp_path / "g.json"
     if isinstance(graph, bytes):
         path.write_bytes(graph)
@@ -248,7 +255,9 @@ def run_on_files(tmp_path, capsys, graph, argv):
         path.write_text(json.dumps(graph))
     rest = []
     for k, arg in enumerate(argv[1:]):
-        if not isinstance(arg, str):
+        if isinstance(arg, PurePath):
+            arg = str(tmp_path / arg)
+        elif not isinstance(arg, str):
             arg_path = tmp_path / f"arg{k}.json"
             arg_path.write_text(json.dumps(arg))
             arg = str(arg_path)
@@ -492,6 +501,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "isored.cli", "proptest", "--cases", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "all ok" in proc.stdout
@@ -511,11 +521,15 @@ UNDIRECTED_EDGE = {"vertices": ["a", "b"], "edges": [GOOD_EDGE], "undirected": T
 NOT_AT_START = {"numpy", "scipy", "mpmath", "isored.proptest", "isored.oracles", "isored.laplacian"}
 
 
+def src_env():
+    """The environment with this isored's ``src`` first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(script, *argv):
     """Run ``script`` in a fresh interpreter that imports this isored."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=src_env()
     )
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from isored.proptest import cross_product_mismatches, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
     GaussianRational,
@@ -194,6 +195,44 @@ def test_field_axioms_randomized():
         assert a + (ZERO - a) == ZERO
         if not a.is_zero():
             assert a * (ONE / a) == ONE
+
+
+def _sum_cases(a, b):
+    """Which cases of Henrici's sum a + b the pair takes: its denominators
+    share a factor at unequal or at equal multiplicities, and the cross
+    sum t shares a factor with their gcd g."""
+    g = poly_gcd(a.den, b.den)
+    if g.degree <= 0:
+        return set()
+    b1, d1 = a.den.exact_div(g), b.den.exact_div(g)
+    seen = set()
+    rest = g  # g without the factors that b1 or d1 still holds
+    while True:
+        common = poly_gcd(rest, b1 * d1)
+        if common.degree <= 0:
+            break
+        seen.add("unequal")
+        rest = rest.exact_div(common)
+    if rest.degree > 0:
+        seen.add("equal")
+    t = a.num * d1 + b.num * b1
+    if t and poly_gcd(t, g).degree > 0:
+        seen.add("t-shares-g")
+    return seen
+
+
+def test_arithmetic_equals_the_full_gcd_constructor_randomized():
+    rng = random.Random(12)
+    taken = {"unequal": 0, "equal": 0, "t-shares-g": 0}
+    for _ in range(150):
+        a, b = random_related_pair(rng)
+        assert cross_product_mismatches(a, b) == [], (format_weight(a), format_weight(b))
+        assert a**2 == RatFun(a.num**2, a.den**2)
+        if a:
+            assert a**-3 == RatFun(a.den**3, a.num**3)
+        for case in _sum_cases(a, b):
+            taken[case] += 1
+    assert min(taken.values()) >= 20, taken
 
 
 def test_canonicalization_idempotent_randomized():
