@@ -6,8 +6,9 @@ and edge orders are fixed, weights print in canonical form with the
 variable spelled ``l``, exact coefficients print as integer ratios, and
 spectrum roots print as decimals with 12 significant digits.
 
-Exit codes: 0 success or PASS, 1 malformed input, 2 violated mathematical
-precondition (for example a non-structural set), 3 verification FAIL.
+Exit codes: 0 success or PASS, 1 malformed input or unwritable output, 2
+violated mathematical precondition (for example a non-structural set), 3
+verification FAIL.
 Handlers catch nothing; ``main`` maps what they raise.  A usage error, a
 ``CliError``, an ``UnknownVertexError`` or a ``ParseError`` is malformed
 input; any other ``ValueError`` is a violated precondition.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -79,8 +81,16 @@ def _emit(text: str, out_path: Optional[str]) -> None:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
             raise CliError(f"cannot write {out_path}: {exc}")
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise CliError("cannot write to stdout: it is closed")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # the interpreter flushes stdout once more at exit; point it at
+            # the null device so that the flush cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliError(f"cannot write to stdout: {exc}")
 
 
 def _json_text(data) -> str:

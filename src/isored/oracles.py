@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the production code paths so they can anchor the
-randomized test suites: a fraction-field elimination determinant and a
+randomized test suites: the monic Euclidean gcd over Q(i) (against the
+subresultant ``poly_gcd``), a fraction-field elimination determinant and a
 permutation-expansion determinant (both against ``char_det``), an
 exhaustive path enumerator and the branch-product reduction built on it
 (against ``reduce``), and a dense numeric eigensolver for constant-weight
@@ -17,10 +18,20 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .ratfun import RatFun
+from .ratfun import Poly, RatFun
 from .spectrum import SpectralList, SpectralPoint, spectrum_minus
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
+
+
+def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor by the Euclidean algorithm over Q(i),
+    each remainder made monic."""
+    while b.coeffs:
+        a, b = b, (a % b)
+        if b.coeffs:
+            b = b.monic()
+    return a.monic() if a.coeffs else a
 
 
 def det_ratfun_matrix(matrix: Sequence[Sequence[RatFun]]) -> RatFun:

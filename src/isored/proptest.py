@@ -10,6 +10,7 @@ counts pinned by the acceptance criteria.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Dict, List
 
@@ -19,10 +20,20 @@ from .oracles import (
     det_leibniz,
     det_ratfun_matrix,
     eig_dense,
+    poly_gcd_euclid,
     reduce_by_paths,
     spectra_equal_up_to,
 )
-from .ratfun import GaussianRational, Poly, RatFun, format_weight, parse_weight
+from .ratfun import (
+    GaussianRational,
+    Poly,
+    RatFun,
+    format_weight,
+    parse_weight,
+    poly_gcd,
+    poly_to_string,
+    squarefree_decompose,
+)
 from .reduction import (
     all_branches,
     branch_decomposition,
@@ -149,6 +160,55 @@ def random_related_pair(rng: random.Random):
     return a, b
 
 
+_CONTENTS = (
+    GaussianRational(1),
+    GaussianRational(2, 1),
+    GaussianRational(Fraction(3, 2)),
+    GaussianRational(Fraction(-2, 7), Fraction(1, 3)),
+)
+
+
+def random_gcd_pair(rng: random.Random):
+    """``(a, b, common)``: two polynomials that share the planted factor
+    ``common``, for checking a gcd.
+
+    ``common`` is a product of one or two random factors at multiplicities
+    1-3.  Each operand multiplies it by its own cofactor and by a content
+    (1+i)^k * c with k in 0-3 and c one of 1, 2+i, 3/2, -2/7+i/3.  Factor
+    coefficients are Gaussian rationals with denominators up to 3, so the
+    operands are not monic.  One pair in eight has a zero or a constant
+    in place of ``a``, and then, two times in three, of ``b`` too.
+    """
+
+    def coeff() -> GaussianRational:
+        return GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.5 else 0,
+        )
+
+    def factor(deg: int) -> Poly:
+        lead = coeff()
+        while not lead:
+            lead = coeff()
+        return Poly([coeff() for _ in range(deg)] + [lead])
+
+    def content() -> GaussianRational:
+        c = rng.choice(_CONTENTS)
+        for _ in range(rng.randint(0, 3)):
+            c = c * GaussianRational(1, 1)
+        return c
+
+    common = Poly.one()
+    for _ in range(rng.randint(1, 2)):
+        common = common * factor(rng.randint(1, 2)) ** rng.randint(1, 3)
+    a, b = (common * factor(rng.randint(0, 3)) for _ in range(2))
+    a, b = a.scale(content()), b.scale(content())
+    if rng.random() < 0.125:
+        specials = (Poly.zero(), Poly.const(content()))
+        a, b = rng.choice(specials), rng.choice((b,) + specials)
+    return a, b, common
+
+
 def cross_product_mismatches(a: RatFun, b: RatFun) -> List[str]:
     """Those of a+b, a-b, a*b and a/b whose num/den differs from the
     full-gcd constructor applied to the unreduced cross products."""
@@ -242,21 +302,28 @@ def field_axiom_suite(cases: int = 300, seed: int = 0) -> SuiteResult:
         ]
         if not a.is_zero():
             checks.append((a * (one / a) == one, "multiplicative inverse"))
+        tag = f"field-axioms seed={seed} case={k}"
         for okay, label in checks:
             if not okay:
-                failures.append(f"case {k}: {label} failed")
+                failures.append(
+                    f"{tag}: {label} failed, "
+                    f"a={format_weight(a)} b={format_weight(b)} c={format_weight(c)}"
+                )
         # canonical form is unique, so rebuilding from scaled parts is stable
         scale = random_poly(rng, 1)
         if not scale.is_zero() and not a.is_zero():
             if RatFun(a.num * scale, a.den * scale) != a:
-                failures.append(f"case {k}: canonicalization not idempotent")
+                failures.append(
+                    f"{tag}: canonicalization not idempotent, "
+                    f"a={format_weight(a)} scale={poly_to_string(scale)}"
+                )
         # operands with shared denominator factors, drawn from their own
         # stream so the cases above stay as they were
         u, v = random_related_pair(random.Random(f"field-axioms/{seed}/{k}"))
         for label in cross_product_mismatches(u, v):
             failures.append(
-                f"field-axioms seed={seed} case={k}: {label} differs from the "
-                f"full-gcd constructor, a={format_weight(u)} b={format_weight(v)}"
+                f"{tag}: {label} differs from the full-gcd constructor, "
+                f"a={format_weight(u)} b={format_weight(v)}"
             )
     return SuiteResult("field-axioms", cases, failures)
 
@@ -287,16 +354,24 @@ def parse_format_suite(cases: int = 300, seed: int = 2) -> SuiteResult:
         if r.is_zero():
             continue
         if parse_weight(format_weight(r)) != r:
-            failures.append(f"case {k}: round-trip failed on {format_weight(r)}")
+            failures.append(f"parse-format seed={seed} case={k}: round-trip failed on {format_weight(r)}")
     return SuiteResult("parse-format", cases, failures)
 
 
 def squarefree_suite(cases: int = 200, seed: int = 3) -> SuiteResult:
-    from .ratfun import squarefree_decompose
-
     rng = random.Random(seed)
     failures = []
+
+    def check_gcd(tag: str, p: Poly) -> None:
+        dp = p.derivative()
+        if poly_gcd(p, dp) != poly_gcd_euclid(p, dp):
+            failures.append(f"{tag}: gcd(p, p') differs from the Euclidean gcd, p={poly_to_string(p)}")
+
     for k in range(cases):
+        tag = f"squarefree seed={seed} case={k}"
+        # a polynomial with planted multiplicities and Gaussian content, drawn
+        # from its own stream so the cases below stay as they were
+        check_gcd(tag, random_gcd_pair(random.Random(f"squarefree/{seed}/{k}"))[0])
         parts = [random_poly(rng, 2) for _ in range(rng.randint(1, 3))]
         parts = [p for p in parts if p.degree >= 1]
         if not parts:
@@ -304,6 +379,7 @@ def squarefree_suite(cases: int = 200, seed: int = 3) -> SuiteResult:
         p = Poly.one()
         for j, f in enumerate(parts):
             p = p * f ** (j + 1)
+        check_gcd(tag, p)
         decomp = squarefree_decompose(p)
         rebuilt = Poly.one()
         degsum = 0
@@ -311,9 +387,9 @@ def squarefree_suite(cases: int = 200, seed: int = 3) -> SuiteResult:
             rebuilt = rebuilt * f**m
             degsum += m * f.degree
         if rebuilt.monic() != p.monic():
-            failures.append(f"case {k}: reconstruction differs")
+            failures.append(f"{tag}: reconstruction differs, p={poly_to_string(p)}")
         if degsum != p.degree:
-            failures.append(f"case {k}: multiplicity-weighted degree differs")
+            failures.append(f"{tag}: multiplicity-weighted degree differs, p={poly_to_string(p)}")
     return SuiteResult("squarefree", cases, failures)
 
 

@@ -30,6 +30,13 @@ What is left is making the denominator monic.  The result is the same
 canonical form the general canonicaliser gives, at the cost of gcds of
 polynomials about half the degree of the cross products.
 
+:func:`poly_gcd` clears both operands to Gaussian-integer polynomials and
+runs the subresultant remainder sequence over Z[i] (Collins 1967; Brown
+1971), so no ``Fraction`` arithmetic happens until the last remainder is
+made monic.  The gcd is unique up to a unit, so this is the same monic
+polynomial the Euclidean algorithm over Q(i) gives
+(``oracles.poly_gcd_euclid``, the reference).
+
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
     expr     := term (('+'|'-') term)*
@@ -48,7 +55,7 @@ at most ``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, List, Sequence
 
 NEG_INF = float("-inf")
@@ -313,13 +320,123 @@ _P_VAR = Poly.__new__(Poly)
 _P_VAR.coeffs = (GR_ZERO, GR_ONE)
 
 
+# -- gcd over the Gaussian integers -------------------------------------
+# A Gaussian-integer polynomial is a pair of int lists (real parts,
+# imaginary parts) in descending degree; a Gaussian integer is an int pair.
+
+
+def _gaussian_ints(p: Poly):
+    """``p`` cleared to a Gaussian-integer polynomial with integer content 1:
+    times the lcm of its coefficients' denominators, over the gcd of the
+    resulting integers."""
+    cs = p.coeffs[::-1]
+    parts = [c.re for c in cs] + [c.im for c in cs]
+    dens = [f.denominator for f in parts]
+    nums = [f.numerator for f in parts]
+    m = int_lcm(*dens)
+    if m > 1:
+        nums = [x * (m // d) for x, d in zip(nums, dens)]
+    k = int_gcd(*nums)
+    if k > 1:
+        nums = [x // k for x in nums]
+    return nums[: len(cs)], nums[len(cs) :]
+
+
+def _gpow(ar: int, ai: int, n: int):
+    """The Gaussian integer (ar + ai*i)^n, by repeated squaring."""
+    rr, ri = 1, 0
+    while n:
+        if n & 1:
+            rr, ri = rr * ar - ri * ai, rr * ai + ri * ar
+        n >>= 1
+        if n:
+            ar, ai = ar * ar - ai * ai, 2 * ar * ai
+    return rr, ri
+
+
+def _gdiv(ar: int, ai: int, sr: int, si: int):
+    """The exact quotient of two Gaussian integers."""
+    if not si:
+        return ar // sr, ai // sr
+    n = sr * sr + si * si
+    return (ar * sr + ai * si) // n, (ai * sr - ar * si) // n
+
+
+def _prem(ur, ui, vr, vi):
+    """Pseudo-remainder of u by v (deg u >= deg v >= 1): the remainder of
+    lc(v)^(deg u - deg v + 1) * u, leading zeros stripped."""
+    lr, li = vr[0], vi[0]
+    pad = [0] * (len(ur) - len(vr))
+    vr, vi = vr[1:] + pad, vi[1:] + pad
+    for _ in range(len(pad) + 1):
+        # u <- lc(v) * u - lc(u) * x^k * v, which cancels the leading term;
+        # zip stops at the end of u, so the padded v lines up term by term
+        tr, ti = ur[0], ui[0]
+        zs = list(zip(ur[1:], ui[1:], vr, vi))
+        ur = [lr * a - li * b - tr * c + ti * d for a, b, c, d in zs]
+        ui = [lr * b + li * a - tr * d - ti * c for a, b, c, d in zs]
+    k = 0
+    while k < len(ur) and not ur[k] and not ui[k]:
+        k += 1
+    return ur[k:], ui[k:]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while b.coeffs:
-        a, b = b, (a % b)
-        if b.coeffs:
-            b = b.monic()
-    return a.monic() if a.coeffs else a
+    """Monic greatest common divisor, by the subresultant PRS over Z[i].
+
+    Both operands are cleared to Gaussian-integer polynomials, and the
+    Collins-Brown subresultant remainder sequence (Brown 1971, "On Euclid's
+    algorithm and the computation of polynomial greatest common divisors")
+    divides each pseudo-remainder exactly by g * h^delta, which keeps the
+    coefficients small without any gcd of coefficients.  The last nonzero
+    remainder is a Gaussian-integer multiple of the gcd over Q(i), which is
+    returned monic.
+    """
+    if not b.coeffs:
+        return a.monic()
+    if not a.coeffs:
+        return b.monic()
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    if len(b.coeffs) == 1:
+        return _P_ONE
+    ur, ui = _gaussian_ints(a)
+    vr, vi = _gaussian_ints(b)
+    gr, gi, hr, hi = 1, 0, 1, 0
+    while True:
+        delta = len(ur) - len(vr)
+        rr, ri = _prem(ur, ui, vr, vi)
+        if not rr:
+            break
+        if len(rr) == 1:
+            return _P_ONE
+        # v <- prem(u, v) / (g * h^delta), then g <- lc(u), h <- g^delta / h^(delta-1)
+        sr, si = _gpow(hr, hi, delta)
+        sr, si = gr * sr - gi * si, gr * si + gi * sr
+        ur, ui = vr, vi
+        if not si:
+            vr, vi = [x // sr for x in rr], [y // sr for y in ri]
+        else:
+            n = sr * sr + si * si
+            vr = [(x * sr + y * si) // n for x, y in zip(rr, ri)]
+            vi = [(y * sr - x * si) // n for x, y in zip(rr, ri)]
+        gr, gi = ur[0], ui[0]
+        if delta:
+            hr, hi = _gdiv(*_gpow(gr, gi, delta), *_gpow(hr, hi, delta - 1))
+    k = int_gcd(*vr, *vi)
+    if k > 1:
+        vr, vi = [x // k for x in vr], [y // k for y in vi]
+    lr, li = vr[0], vi[0]
+    n = lr * lr + li * li
+    # c / lc = c * conj(lc) / |lc|^2
+    cs = [
+        GaussianRational(Fraction(x * lr + y * li, n), Fraction(y * lr - x * li, n))
+        for x, y in zip(vr[:0:-1], vi[:0:-1])
+    ]
+    cs.append(GR_ONE)
+    out = Poly.__new__(Poly)
+    out.coeffs = tuple(cs)
+    return out
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

@@ -533,6 +533,30 @@ def run_fresh(script, *argv):
     )
 
 
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+
+
+@pytest.mark.parametrize(
+    "redirect",
+    [
+        pytest.param(">/dev/full", id="stdout-full", marks=NO_DEV_FULL),
+        pytest.param(">&-", id="stdout-closed"),
+    ],
+)
+def test_unwritable_stdout_exits_1_with_one_error_line(tmp_path, redirect):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(WARMUP))
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m isored.cli spectrum "$1" {redirect}', sys.executable, str(path)],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write to stdout"), proc.stderr
+
+
 STARTUP_ROWS = [
     (["reduce", "--set", "a"], WARMUP, set()),
     (["bas"], WARMUP, set()),
@@ -573,7 +597,8 @@ combinatorial_laplacian_graph common_decomposition common_reduction compare_outs
 complete_bipartite_graph complete_graph det_leibniz det_ratfun_matrix eig_dense
 enumerate_branches expand expected_vertex_count forbidden_set format_weight
 generalized_laplacian_graph is_g_pi is_structural_set isoequiv isomorphic laplacian loop_bisect
-merge_parallel normalized_laplacian_graph oracles parse_weight poly_gcd prune_off_branch ratfun
+merge_parallel normalized_laplacian_graph oracles parse_weight poly_gcd poly_gcd_euclid
+prune_off_branch ratfun
 reduce reduce_by_paths reduced_scc_check reduction remove_vertex roots scc scc_filter
 scc_partition sequential_reduce spectra_agree_outside spectra_equal_up_to spectrum
 spectrum_minus squarefree_decompose structural tau_equivalent tau_min_outdegree_reduce

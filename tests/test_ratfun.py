@@ -1,10 +1,13 @@
 """Weight-field arithmetic, parsing, and formatting."""
 
 import random
+import re
 
 import pytest
 
-from isored.proptest import cross_product_mismatches, random_related_pair
+from isored import proptest
+from isored.oracles import poly_gcd_euclid
+from isored.proptest import cross_product_mismatches, random_gcd_pair, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
     GaussianRational,
@@ -289,3 +292,72 @@ def test_squarefree_reconstructs_randomized():
             degsum += m * f.degree
         assert rebuilt.monic() == prod.monic()
         assert degsum == prod.degree
+
+
+def test_poly_gcd_equals_the_euclidean_reference_randomized():
+    rng = random.Random(13)
+    taken = {"zero": 0, "constant": 0, "repeated": 0, "gaussian": 0}
+    for _ in range(300):
+        a, b, common = random_gcd_pair(rng)
+        g = poly_gcd(a, b)
+        assert g == poly_gcd_euclid(a, b) == poly_gcd(b, a), (poly_to_string(a), poly_to_string(b))
+        if a.degree > 0 and b.degree > 0:
+            assert not g % common  # the planted factor divides the gcd
+        taken["zero"] += a.is_zero() or b.is_zero()
+        taken["constant"] += a.degree == 0 or b.degree == 0
+        taken["repeated"] += poly_gcd(common, common.derivative()).degree > 0
+        taken["gaussian"] += any(c.im for c in a.coeffs + b.coeffs)
+    assert min(taken.values()) >= 10, taken
+
+
+def test_poly_gcd_of_the_recorded_degree_14_gaussian_pair():
+    # the characteristic polynomial of a seed-1 charpoly-spectrum graph and
+    # its derivative, as squarefree_decompose takes their gcd; a remainder
+    # sequence that removes only integer content swells on this pair
+    p = rf(
+        "l^14-l^13+(-5+8i)*l^12+(-33+11i)*l^11+(-90+4i)*l^10+(-159-546i)*l^9"
+        "+(289-2196i)*l^8+(5664-8549i)*l^7+(6089-21617i)*l^6+(-9655-51677i)*l^5"
+        "+(-7904-158297i)*l^4+(4579-295989i)*l^3+(45510-303037i)*l^2"
+        "+(61141-159847i)*l+(46452-27292i)"
+    ).num
+    dp = p.derivative()
+    assert poly_gcd(p, dp) == poly_gcd_euclid(p, dp) == Poly.one()
+    # the same pair with a planted squared Gaussian factor
+    f = Poly([GaussianRational(1, -2), GaussianRational(3, 1)])
+    q = p * f**2
+    dq = q.derivative()
+    assert poly_gcd(q, dq) == poly_gcd_euclid(q, dq) == f.monic()
+
+
+@pytest.mark.parametrize(
+    "suite,seed,name,broken,message",
+    [
+        ("squarefree_suite", 3, "squarefree_decompose", lambda p: [], "reconstruction differs, p="),
+        (
+            "squarefree_suite", 3, "poly_gcd_euclid", lambda a, b: Poly.zero(),
+            "gcd(p, p') differs from the Euclidean gcd, p=",
+        ),
+        ("parse_format_suite", 2, "parse_weight", lambda text: ZERO, "round-trip failed on "),
+    ],
+    ids=["squarefree-decompose", "squarefree-gcd", "parse-format"],
+)
+def test_weight_suite_failures_carry_replay_data(monkeypatch, suite, seed, name, broken, message):
+    monkeypatch.setattr(proptest, name, broken)
+    failures = [f for f in getattr(proptest, suite)(cases=6, seed=seed).failures if message in f]
+    assert failures
+    label = suite[: -len("_suite")].replace("_", "-")
+    for line in failures:
+        head, _, text = line.partition(message)
+        assert re.fullmatch(f"{label} seed={seed} case=[0-9]+: ", head), line
+        # the text alone replays the case against the unbroken code
+        value = parse_weight(text)
+        if suite == "parse_format_suite":
+            assert parse_weight(format_weight(value)) == value
+        else:
+            p = value.num
+            assert value.den == Poly.one()
+            assert poly_gcd(p, p.derivative()) == poly_gcd_euclid(p, p.derivative())
+            rebuilt = Poly.one()
+            for f, m in squarefree_decompose(p):
+                rebuilt = rebuilt * f**m
+            assert rebuilt.monic() == p.monic()
