@@ -50,7 +50,6 @@ from .reduction import (
     FactorizationError,
     all_branches,
     branch_decomposition,
-    branch_product,
     common_decomposition,
     enumerate_branches,
     expand,
@@ -100,6 +99,7 @@ _LAZY_NAMES = {
     ),
     "oracles": (
         "all_paths",
+        "branch_product",
         "det_leibniz",
         "det_ratfun_matrix",
         "eig_dense",

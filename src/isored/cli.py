@@ -265,6 +265,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _case_count(text: str) -> int:
+    """A ``--cases`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="isored",
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("other")
 
     sp = add("proptest", cmd_proptest, "run the randomized invariant suites")
-    sp.add_argument("--cases", type=int, default=60)
+    sp.add_argument("--cases", type=_case_count, default=60)
     sp.add_argument("--seed", type=int, default=0)
 
     return p

@@ -118,9 +118,8 @@ def tau_min_outdegree_reduce(g: WeightedDigraph) -> WeightedDigraph:
         current = tau_reduce(current, min_out_degree_rule)
 
 
-def tau_equivalent(
-    g: WeightedDigraph,
-    h: WeightedDigraph,
-    reducer: Callable[[WeightedDigraph], WeightedDigraph] = tau_min_outdegree_reduce,
-) -> bool:
-    return isomorphic(reducer(g), reducer(h)) is not None
+def tau_equivalent(g: WeightedDigraph, h: WeightedDigraph) -> bool:
+    """True when the minimum-out-degree fixed points of g and h are
+    isomorphic."""
+    reduced = tau_min_outdegree_reduce(g), tau_min_outdegree_reduce(h)
+    return isomorphic(*reduced) is not None

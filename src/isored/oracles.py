@@ -4,11 +4,12 @@ These deliberately avoid the production code paths so they can anchor the
 randomized test suites: the monic Euclidean gcd over Q(i) (against the
 subresultant ``poly_gcd``), a fraction-field elimination determinant and a
 permutation-expansion determinant (both against ``char_det``), an
-exhaustive path enumerator and the branch-product reduction built on it
-(against ``reduce``), and a dense numeric eigensolver for constant-weight
-graphs, with the tolerance-matched spectrum comparison that checks float
-spectra (its own or the numeric normalized Laplacian's) against exact
-ones.  Size guards keep the factorial/exponential costs honest.
+exhaustive path enumerator, the branch product, and the reduction built
+on both by the paper's definition (against ``reduce``), and a dense
+numeric eigensolver for constant-weight graphs, with the
+tolerance-matched spectrum comparison that checks float spectra (its own
+or the numeric normalized Laplacian's) against exact ones.  Size guards
+keep the factorial/exponential costs honest.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .ratfun import Poly, RatFun
+from .reduction import Branch
 from .spectrum import SpectralList, SpectralPoint, spectrum_minus
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
@@ -131,6 +133,17 @@ def all_paths(
     return out
 
 
+def branch_product(g: WeightedDigraph, branch: Branch) -> RatFun:
+    """First edge weight times edge/(l - loop) over the interior vertices;
+    a two-vertex branch is just its edge weight."""
+    vs = branch.vertices
+    product = g.weight(vs[0], vs[1])
+    lam = RatFun.var()
+    for k in range(1, len(vs) - 1):
+        product = product * g.weight(vs[k], vs[k + 1]) / (lam - g.loop(vs[k]))
+    return product
+
+
 def reduce_by_paths(g: WeightedDigraph, s: Sequence[str]) -> WeightedDigraph:
     """The reduction over S by the paper's definition: each (i, j) weight
     is the sum, over the paths i -> j with interiors off S, of
@@ -138,16 +151,12 @@ def reduce_by_paths(g: WeightedDigraph, s: Sequence[str]) -> WeightedDigraph:
     n <= 10."""
     s_set = set(s)
     s_ordered = [v for v in g.vertices if v in s_set]
-    lam = RatFun.var()
     edges = []
     for src in s_ordered:
         for dst in s_ordered:
             total = RatFun.zero()
             for path in all_paths(g, src, dst, s_ordered):
-                term = g.weight(path[0], path[1])
-                for k in range(1, len(path) - 1):
-                    term = term * g.weight(path[k], path[k + 1]) / (lam - g.loop(path[k]))
-                total = total + term
+                total = total + branch_product(g, Branch(path))
             edges.append((src, dst, total))
     return WeightedDigraph(s_ordered, edges)
 
@@ -162,9 +171,10 @@ def _eig_high_precision(mat: np.ndarray) -> List[complex]:
         return [complex(z) for z in mpmath.eig(m, left=False, right=False)]
 
 
-def eig_dense(g: WeightedDigraph, cluster_tol: float = 1e-6) -> SpectralList:
+def eig_dense(g: WeightedDigraph) -> SpectralList:
     """Numeric spectrum of a constant-weight graph via a dense
-    eigensolver, with multiplicities recovered by clustering.
+    eigensolver, with multiplicities recovered by clustering: a sorted
+    value within 1e-6 of the one before it joins that value's cluster.
 
     Defective eigenvalues come out of a double-precision solve with error
     about eps**(1/k) for a k-fold Jordan block, so whenever the computed
@@ -189,7 +199,7 @@ def eig_dense(g: WeightedDigraph, cluster_tol: float = 1e-6) -> SpectralList:
         values = sorted(_eig_high_precision(mat), key=lambda z: (z.real, z.imag))
     clusters: List[List[complex]] = []
     for z in values:
-        if clusters and abs(z - clusters[-1][-1]) <= cluster_tol:
+        if clusters and abs(z - clusters[-1][-1]) <= 1e-6:
             clusters[-1].append(z)
         else:
             clusters.append([z])

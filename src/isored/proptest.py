@@ -9,6 +9,7 @@ counts pinned by the acceptance criteria.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -114,13 +115,9 @@ def random_pi_weight(rng: random.Random) -> RatFun:
     return (a * lam + b) / (lam * lam - c)
 
 
-def random_poly(rng: random.Random, max_deg: int = 3, gaussian: bool = True) -> Poly:
+def random_poly(rng: random.Random, max_deg: int = 3) -> Poly:
     deg = rng.randint(0, max_deg)
-    coeffs = [
-        GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2) if gaussian else 0)
-        for _ in range(deg + 1)
-    ]
-    return Poly(coeffs)
+    return Poly(GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(deg + 1))
 
 
 def random_ratfun(rng: random.Random, max_deg: int = 3) -> RatFun:
@@ -334,15 +331,17 @@ def pi_rule_suite(cases: int = 300, seed: int = 1) -> SuiteResult:
     lam = RatFun.var()
     for k in range(cases):
         a, b = random_ratfun(rng, 2), random_ratfun(rng, 2)
+        tag = f"pi-rules seed={seed} case={k}"
+        weights = f"a={format_weight(a)} b={format_weight(b)}"
         if (a + b) and a and b:
             if (a + b).pi() > max(a.pi(), b.pi()):
-                failures.append(f"case {k}: pi(a+b) exceeded max")
+                failures.append(f"{tag}: pi(a+b) exceeded max, {weights}")
         if a and b:
             if (a * b).pi() != a.pi() + b.pi():
-                failures.append(f"case {k}: pi(ab) not additive")
+                failures.append(f"{tag}: pi(ab) not additive, {weights}")
             c = RatFun.from_int(rng.randint(-3, 3))
             if (a * b / (lam - c)).pi() >= a.pi() + b.pi():
-                failures.append(f"case {k}: pi(ab/(l-c)) not reduced")
+                failures.append(f"{tag}: pi(ab/(l-c)) not reduced, {weights} c={format_weight(c)}")
     return SuiteResult("pi-rules", cases, failures)
 
 
@@ -425,8 +424,9 @@ def commutativity_suite(cases: int = 100, seed: int = 11) -> SuiteResult:
     failures = []
     for k in range(cases):
         g = random_graph(rng, max_n=7, pi_edges=True)
+        tag = lambda *sets: _replay_tag("removal-commutativity", seed, k, g, *sets)
         if not is_g_pi(g):
-            failures.append(f"case {k}: generator produced a bad-degree weight")
+            failures.append(f"{tag()}: generator produced a bad-degree weight")
             continue
         target = [v for v in g.vertices if rng.random() < 0.4]
         if not target:
@@ -443,10 +443,11 @@ def commutativity_suite(cases: int = 100, seed: int = 11) -> SuiteResult:
         for v in order_b:
             gb = remove_vertex(gb, v)
         if ga != gb:
-            failures.append(f"case {k}: removal orders disagree")
+            orders = f"{','.join(order_a)};{','.join(order_b)}"
+            failures.append(f"{tag(target)}: removal orders disagree, orders={orders}")
         gu, _ = unique_reduce_to(g, target)
         if gu != ga:
-            failures.append(f"case {k}: unique reduction differs from manual removal")
+            failures.append(f"{tag(target)}: unique reduction differs from manual removal")
     return SuiteResult("removal-commutativity", cases, failures)
 
 
@@ -482,15 +483,17 @@ def gpi_closure_suite(cases: int = 150, seed: int = 13) -> SuiteResult:
     for k in range(cases):
         g = random_graph(rng, max_n=7, pi_edges=True)
         s = random_structural_set(rng, g)
+        tag = lambda s: _replay_tag("degree-gap-closure", seed, k, g, s)
         if not is_g_pi(g):
-            failures.append(f"case {k}: generator escaped the degree-gap class")
+            failures.append(f"{tag(s)}: generator escaped the degree-gap class")
             continue
         if not is_g_pi(reduce(g, s)):
-            failures.append(f"case {k}: reduction left the degree-gap class")
+            failures.append(f"{tag(s)}: reduction left the degree-gap class")
         if g.n >= 2:
             v = rng.choice(g.vertices)
-            if not is_structural_set(g, [u for u in g.vertices if u != v]):
-                failures.append(f"case {k}: single-vertex complement not structural")
+            rest = [u for u in g.vertices if u != v]
+            if not is_structural_set(g, rest):
+                failures.append(f"{tag(rest)}: single-vertex complement not structural")
     return SuiteResult("degree-gap-closure", cases, failures)
 
 
@@ -500,18 +503,19 @@ def scc_suite(cases: int = 150, seed: int = 14) -> SuiteResult:
     for k in range(cases):
         g = random_graph(rng)
         s = random_structural_set(rng, g)
+        tag = lambda: _replay_tag("scc", seed, k, g, s)
         if reduce(scc_filter(g), s) != scc_filter(reduce(g, s)):
-            failures.append(f"case {k}: filter and reduce do not commute")
+            failures.append(f"{tag()}: filter and reduce do not commute")
         if not charpoly_numerators_equal(g, scc_filter(g)):
-            failures.append(f"case {k}: filtering changed the spectrum")
+            failures.append(f"{tag()}: filtering changed the spectrum")
         if not reduced_scc_check(g, s).ok:
-            failures.append(f"case {k}: component blocks mismatch")
+            failures.append(f"{tag()}: component blocks mismatch")
         # block multiplicativity of the characteristic determinant
         product = RatFun.one()
         for comp in scc_partition(g):
             product = product * char_det(g.subgraph(comp))
         if product != char_det(g):
-            failures.append(f"case {k}: determinant not block multiplicative")
+            failures.append(f"{tag()}: determinant not block multiplicative")
     return SuiteResult("scc", cases, failures)
 
 
@@ -605,15 +609,20 @@ def oracle_suite(cases: int = 120, seed: int = 17) -> SuiteResult:
             for _ in range(n)
         ]
         if det_ratfun_matrix(mat) != det_leibniz(mat):
-            failures.append(f"case {k}: elimination and expansion determinants differ")
+            weights = json.dumps([[format_weight(w) for w in row] for row in mat])
+            failures.append(
+                f"oracles seed={seed} case={k}: elimination and expansion determinants differ, "
+                f"matrix={weights}"
+            )
         g = random_graph(rng, max_n=6, ratfun_loops=False)
+        tag = lambda *sets: _replay_tag("oracles", seed, k, g, *sets)
         if g.n <= 6 and char_det(g) != det_leibniz(char_matrix(g)):
-            failures.append(f"case {k}: char_det differs from expansion oracle")
+            failures.append(f"{tag()}: char_det differs from expansion oracle")
         if det_ratfun_matrix(char_matrix(g)) != char_det(g):
-            failures.append(f"case {k}: the two determinant routes differ")
+            failures.append(f"{tag()}: the two determinant routes differ")
         dense = eig_dense(g)
         if not spectra_equal_up_to(spectrum(g), dense, forbidden_set(g, g.vertices), 1e-6).ok:
-            failures.append(f"case {k}: exact and dense spectra differ")
+            failures.append(f"{tag()}: exact and dense spectra differ")
         s = random_structural_set(rng, g)
         s_set = set(s)
         banned = [v for v in g.vertices if v in s_set]
@@ -622,7 +631,7 @@ def oracle_suite(cases: int = 120, seed: int = 17) -> SuiteResult:
                 mine = [b.vertices for b in enumerate_branches(g, s, src, dst)]
                 theirs = all_paths(g, src, dst, banned)
                 if sorted(mine) != sorted(theirs):
-                    failures.append(f"case {k}: branch enumeration differs from path oracle")
+                    failures.append(f"{tag(s)}: branch enumeration differs from path oracle")
     return SuiteResult("oracles", cases, failures)
 
 
@@ -705,13 +714,14 @@ def isomorphism_suite(cases: int = 100, seed: int = 20) -> SuiteResult:
         g = random_graph(rng, max_n=7)
         relabel = {v: f"x{j}" for j, v in enumerate(rng.sample(g.vertices, g.n))}
         h = g.relabeled(relabel)
+        tag = lambda: _replay_tag("isomorphism", seed, k, g)
         witness = isomorphic(g, h)
         if witness is None:
-            failures.append(f"case {k}: relabeled graph not recognized")
+            failures.append(f"{tag()}: relabeled graph not recognized")
         else:
             for u, v, w in g.edges():
                 if h.weight(witness[u], witness[v]) != w:
-                    failures.append(f"case {k}: witness does not conjugate weights")
+                    failures.append(f"{tag()}: witness does not conjugate weights")
                     break
         if g.edge_count():
             u, v, w = rng.choice(g.edges())
@@ -725,7 +735,7 @@ def isomorphism_suite(cases: int = 100, seed: int = 20) -> SuiteResult:
                 if sorted(hash(w) for _, _, w in g.edges()) != sorted(
                     hash(w) for _, _, w in g2.edges()
                 ):
-                    failures.append(f"case {k}: perturbed graph wrongly matched")
+                    failures.append(f"{tag()}: perturbed graph wrongly matched, edge={u},{v}")
     return SuiteResult("isomorphism", cases, failures)
 
 
@@ -734,15 +744,16 @@ def transpose_suite(cases: int = 100, seed: int = 21) -> SuiteResult:
     failures = []
     for k in range(cases):
         g = random_graph(rng)
+        tag = lambda: _replay_tag("graph-basics", seed, k, g)
         if not charpoly_numerators_equal(g, g.transpose()):
-            failures.append(f"case {k}: transpose changed the spectrum")
+            failures.append(f"{tag()}: transpose changed the spectrum")
         if g.transpose().transpose() != g:
-            failures.append(f"case {k}: double transpose is not the identity")
+            failures.append(f"{tag()}: double transpose is not the identity")
         if WeightedDigraph.from_json(g.to_json()) != g:
-            failures.append(f"case {k}: JSON round-trip changed the graph")
+            failures.append(f"{tag()}: JSON round-trip changed the graph")
         mat = g.adjacency_matrix()
         if WeightedDigraph.from_matrix(g.vertices, mat).adjacency_matrix() != mat:
-            failures.append(f"case {k}: adjacency matrix round-trip differs")
+            failures.append(f"{tag()}: adjacency matrix round-trip differs")
     return SuiteResult("graph-basics", cases, failures)
 
 

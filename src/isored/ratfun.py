@@ -35,7 +35,9 @@ runs the subresultant remainder sequence over Z[i] (Collins 1967; Brown
 1971), so no ``Fraction`` arithmetic happens until the last remainder is
 made monic.  The gcd is unique up to a unit, so this is the same monic
 polynomial the Euclidean algorithm over Q(i) gives
-(``oracles.poly_gcd_euclid``, the reference).
+(``oracles.poly_gcd_euclid``, the reference).  :func:`format_weight`
+prints through the same clearing, ``_gaussian_ints``, applied to the
+numerator's and denominator's coefficients together.
 
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
@@ -188,11 +190,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def leading(self) -> GaussianRational:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -269,9 +266,6 @@ class Poly:
                 rem[k - dd + j] = rem[k - dd + j] - f * dv[j]
         return Poly(q), Poly(rem)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -325,11 +319,10 @@ _P_VAR.coeffs = (GR_ZERO, GR_ONE)
 # imaginary parts) in descending degree; a Gaussian integer is an int pair.
 
 
-def _gaussian_ints(p: Poly):
-    """``p`` cleared to a Gaussian-integer polynomial with integer content 1:
-    times the lcm of its coefficients' denominators, over the gcd of the
-    resulting integers."""
-    cs = p.coeffs[::-1]
+def _gaussian_ints(cs: Sequence[GaussianRational]):
+    """The coefficients ``cs`` cleared to Gaussian integers with integer
+    content 1, as (real parts, imaginary parts) in the order given: times
+    the lcm of their denominators, over the gcd of the resulting integers."""
     parts = [c.re for c in cs] + [c.im for c in cs]
     dens = [f.denominator for f in parts]
     nums = [f.numerator for f in parts]
@@ -400,8 +393,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if len(b.coeffs) == 1:
         return _P_ONE
-    ur, ui = _gaussian_ints(a)
-    vr, vi = _gaussian_ints(b)
+    ur, ui = _gaussian_ints(a.coeffs[::-1])
+    vr, vi = _gaussian_ints(b.coeffs[::-1])
     gr, gi, hr, hi = 1, 0, 1, 0
     while True:
         delta = len(ur) - len(vr)
@@ -591,21 +584,6 @@ class RatFun:
             return NEG_INF
         return self.num.degree - self.den.degree
 
-    def eval(self, z: complex, tol: float = 1e-12):
-        """Evaluate at a complex point; ``None`` marks an undefined value.
-
-        The denominator test is tolerance based and scale aware, so exact
-        poles of moderate a magnitude resolve to ``None`` rather than a
-        huge float.
-        """
-        dz = self.den.eval_complex(z)
-        scale = max(
-            1.0, max((abs(c.to_complex()) for c in self.den.coeffs), default=1.0)
-        ) * max(1.0, abs(z)) ** max(0, len(self.den.coeffs) - 1)
-        if abs(dz) <= tol * scale:
-            return None
-        return self.num.eval_complex(z) / dz
-
     def __repr__(self):
         return f"RatFun({format_weight(self)!r})"
 
@@ -661,35 +639,6 @@ RF_VAR.den = _P_ONE
 # ----------------------------------------------------------------------
 # Formatting
 # ----------------------------------------------------------------------
-
-
-def _integer_cleared(r: RatFun):
-    """Rescale num and den so all coefficients are Gaussian integers with
-    content 1 and the den's leading coefficient is sign normalized."""
-    denoms = [1]
-    for p in (r.num, r.den):
-        for c in p.coeffs:
-            denoms.append(c.re.denominator)
-            denoms.append(c.im.denominator)
-    m = 1
-    for d in denoms:
-        m = m * d // int_gcd(m, d)
-    num = r.num.scale(GaussianRational(m))
-    den = r.den.scale(GaussianRational(m))
-    content = 0
-    for p in (num, den):
-        for c in p.coeffs:
-            content = int_gcd(content, int(c.re))
-            content = int_gcd(content, int(c.im))
-    if content > 1:
-        inv = GaussianRational(Fraction(1, content))
-        num = num.scale(inv)
-        den = den.scale(inv)
-    lead = den.leading()
-    if lead.re < 0 or (lead.re == 0 and lead.im < 0):
-        num = num.scale(GaussianRational(-1))
-        den = den.scale(GaussianRational(-1))
-    return num, den
 
 
 def _frac_str(f: Fraction) -> str:
@@ -752,14 +701,18 @@ def _wrap_den(s: str) -> str:
 
 
 def format_weight(r: RatFun) -> str:
-    """Normalized ``num/den`` string with integer-cleared coefficients."""
+    """Normalized ``num/den`` string: num and den cleared together to
+    Gaussian integers with content 1.  The den is monic, so its cleared
+    leading coefficient is a positive integer and fixes the sign."""
     if r.is_zero():
         return "0"
-    num, den = _integer_cleared(r)
-    ns = poly_to_string(num)
-    if den == _P_ONE or (den.degree == 0 and den.coeffs[0] == GR_ONE):
+    re, im = _gaussian_ints(r.num.coeffs + r.den.coeffs)
+    cs = [GaussianRational(x, y) for x, y in zip(re, im)]
+    k = len(r.num.coeffs)
+    ns = poly_to_string(Poly(cs[:k]))
+    if cs[k:] == [GR_ONE]:
         return ns
-    return f"{_wrap_num(ns)}/{_wrap_den(poly_to_string(den))}"
+    return f"{_wrap_num(ns)}/{_wrap_den(poly_to_string(Poly(cs[k:])))}"
 
 
 # ----------------------------------------------------------------------

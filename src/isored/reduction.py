@@ -1,6 +1,6 @@
-"""The reduction engine: branches, branch products, reductions over a
-structural set, vertex elimination, sequential and unique reductions,
-branch decompositions, expansions, loop bisection, and off-branch pruning.
+"""The reduction engine: branches, reductions over a structural set,
+vertex elimination, sequential and unique reductions, branch
+decompositions, expansions, loop bisection, and off-branch pruning.
 
 A *branch* between vertices of S is a path or cycle whose interior
 vertices all lie off S; the two-vertex case covers both a plain edge and a
@@ -10,10 +10,12 @@ products; pairs whose products cancel to zero get no edge.
 
 ``reduce`` computes that graph as the Schur complement
 ``M_SS + M_{S,S'} (l I - M_{S'S'})^{-1} M_{S',S}`` of the complement S':
-it removes the off-S vertices one at a time with ``remove_vertex``.  The
-result equals the branch-product sum exactly; the branch walk itself runs
-only where the branches are the output (enumeration, decompositions,
-expansion, pruning, and the subring-preserving reduction).
+it eliminates the off-S vertices one at a time on one pair of weight
+maps, the same elimination ``remove_vertex`` runs for a single vertex.
+The result equals the branch-product sum exactly (``oracles.branch_product``
+is the definition); the branch walk itself runs only where the branches
+are the output (enumeration, decompositions, expansion, pruning, and the
+subring-preserving reduction).
 """
 
 from __future__ import annotations
@@ -83,17 +85,6 @@ def weight_sequence(g: WeightedDigraph, branch: Branch) -> Tuple[RatFun, ...]:
     return tuple(out)
 
 
-def branch_product(g: WeightedDigraph, branch: Branch) -> RatFun:
-    """First edge weight times edge/(l - loop) over the interior vertices;
-    a two-vertex branch is just its edge weight."""
-    vs = branch.vertices
-    product = g.weight(vs[0], vs[1])
-    lam = RatFun.var()
-    for k in range(1, len(vs) - 1):
-        product = product * g.weight(vs[k], vs[k + 1]) / (lam - g.loop(vs[k]))
-    return product
-
-
 def _branches_from(g: WeightedDigraph, s_set: set, start: str) -> Dict[str, List[Branch]]:
     """All branches leaving ``start``, grouped by target, each group in
     lexicographic order of the vertex-index sequence.  The depth-first
@@ -149,42 +140,56 @@ def reduce(g: WeightedDigraph, s: Iterable[str]) -> WeightedDigraph:
     """The isospectral reduction of g over the structural set S: the graph
     on S whose (i, j) weight is the sum of branch products from i to j.
 
-    The complement is removed vertex by vertex in graph order.  It induces
-    no cycle, so no removal changes the loop of another complement vertex,
-    and every pivot l - w(v, v) is the nonzero one the structural check
-    guarantees."""
+    The complement is eliminated vertex by vertex in graph order.  It
+    induces no cycle, so no removal changes the loop of another complement
+    vertex, and every pivot l - w(v, v) is the nonzero one the structural
+    check guarantees."""
     s_set = set(require_structural_set(g, s))
-    for v in [u for u in g.vertices if u not in s_set]:
-        g = remove_vertex(g, v)
-    return g
+    return _eliminate(g, [u for u in g.vertices if u not in s_set])
 
 
 def remove_vertex(g: WeightedDigraph, v: str) -> WeightedDigraph:
-    """Eliminate one vertex: the reduction over V minus {v}, computed by
-    the closed form  new(i,j) = w(i,j) + w(i,v) w(v,j) / (l - w(v,v)),
-    where only in-neighbour/out-neighbour pairs of v gain a term."""
+    """Eliminate one vertex: the reduction over V minus {v}."""
     if not g.has_vertex(v):
         raise UnknownVertexError(f"unknown vertex {v!r}")
     if g.n < 2:
         raise StructuralSetError("cannot remove the only vertex")
+    return _eliminate(g, [v])
+
+
+def _eliminate(g: WeightedDigraph, doomed: Sequence[str]) -> WeightedDigraph:
+    """Remove the vertices ``doomed`` in turn, each by the closed form
+    new(i,j) = w(i,j) + w(i,v) w(v,j) / (l - w(v,v)), where only
+    in-neighbour/out-neighbour pairs of v gain a term.  The weights live in
+    out- and in-maps until the one graph built at the end."""
+    out: Dict[str, Dict[str, RatFun]] = {u: {} for u in g.vertices}
+    into: Dict[str, Dict[str, RatFun]] = {u: {} for u in g.vertices}
+    for i, j, w in g.edges():
+        out[i][j] = into[j][i] = w
     lam = RatFun.var()
-    loop = g.loop(v)
-    if loop == lam:
-        raise StructuralSetError(
-            f"loop on {v!r} equals the variable l; the complement is not structural"
-        )
-    denom = lam - loop
-    weights = {(i, j): w for i, j, w in g.edges() if i != v and j != v}
-    outof = [(j, g.weight(v, j)) for j in g.successors(v) if j != v]
-    for i in g.predecessors(v):
-        if i == v:
-            continue
-        through = g.weight(i, v) / denom
-        for j, wv in outof:
-            weights[(i, j)] = weights.get((i, j), RatFun.zero()) + through * wv
-    return WeightedDigraph(
-        [u for u in g.vertices if u != v], [(i, j, w) for (i, j), w in weights.items()]
-    )
+    for v in doomed:
+        succ, pred = out.pop(v), into.pop(v)
+        loop = succ.pop(v, RatFun.zero())
+        pred.pop(v, None)
+        if loop == lam:
+            raise StructuralSetError(
+                f"loop on {v!r} equals the variable l; the complement is not structural"
+            )
+        for j in succ:
+            del into[j][v]
+        for i in pred:
+            del out[i][v]
+        denom = lam - loop
+        for i, wi in pred.items():
+            through = wi / denom
+            row = out[i]
+            for j, wj in succ.items():
+                w = row.get(j, RatFun.zero()) + through * wj
+                if w:
+                    row[j] = into[j][i] = w
+                else:
+                    del row[j], into[j][i]
+    return WeightedDigraph(out, [(i, j, w) for i, row in out.items() for j, w in row.items()])
 
 
 def sequential_reduce(

@@ -160,7 +160,12 @@ class SpectralList:
 
 
 def _spectral_list(charpoly: RatFun) -> SpectralList:
-    """The roots, with exact multiplicities, of the numerator of ``charpoly``."""
+    """The roots, with exact multiplicities, of the numerator of ``charpoly``;
+    an identically zero determinant, which every number solves, is refused."""
+    if charpoly.is_zero():
+        raise ValueError(
+            "the characteristic determinant is identically zero, so every number is an eigenvalue"
+        )
     if charpoly.num.degree <= 0:
         return SpectralList([], charpoly)
     pts = [

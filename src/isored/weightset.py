@@ -80,14 +80,14 @@ def _edge_weight_product(g: WeightedDigraph, b: Branch) -> RatFun:
 
 
 def _branches_into(g: WeightedDigraph, basic: Tuple[str, ...]) -> Dict[str, List[Branch]]:
+    """The branches into each basic vertex, in lexicographic order of their
+    vertex-index sequences: ``basic`` is in graph order, and each source's
+    group comes out of the walk in that order."""
     by_target: Dict[str, List[Branch]] = {v: [] for v in basic}
     s_set = set(basic)
     for src in basic:
         for dst, branches in _branches_from(g, s_set, src).items():
             by_target[dst].extend(branches)
-    idx = g.index
-    for v in basic:
-        by_target[v].sort(key=lambda b: tuple(idx(u) for u in b.vertices))
     return by_target
 
 
@@ -195,9 +195,7 @@ class WeightsetReport:
 
 
 def verify_weightset(
-    g: WeightedDigraph,
-    reduced: WeightedDigraph,
-    subring_test: Optional[SubringTest] = None,
+    g: WeightedDigraph, reduced: WeightedDigraph, subring_test: SubringTest
 ) -> WeightsetReport:
     """Check the three construction guarantees: the vertex-count formula,
     subring membership of every output weight, and a common reduction over
@@ -212,19 +210,16 @@ def verify_weightset(
         ok = False
         lines.append(f"vertex count {reduced.n} differs from expected {expected}")
 
-    if subring_test is not None:
-        bad = [
-            (u, v, w) for u, v, w in reduced.edges() if not subring_test(w)
-        ]
-        if bad:
-            ok = False
-            for u, v, w in bad:
-                lines.append(
-                    f"weight of {u}->{v} ({format_weight(w)}) left the subring "
-                    "(merged parallel edges sum weights)"
-                )
-        else:
-            lines.append("all output weights inside the subring")
+    bad = [(u, v, w) for u, v, w in reduced.edges() if not subring_test(w)]
+    if bad:
+        ok = False
+        for u, v, w in bad:
+            lines.append(
+                f"weight of {u}->{v} ({format_weight(w)}) left the subring "
+                "(merged parallel edges sum weights)"
+            )
+    else:
+        lines.append("all output weights inside the subring")
 
     from .isoequiv import isomorphic
 

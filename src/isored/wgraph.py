@@ -109,13 +109,9 @@ class WeightedDigraph:
         return self.weight(v, v)
 
     def edges(self) -> List[Tuple[str, str, RatFun]]:
-        idx = self._index
-        return [
-            (u, v, w)
-            for (u, v), w in sorted(
-                self._edges.items(), key=lambda kv: (idx[kv[0][0]], idx[kv[0][1]])
-            )
-        ]
+        """Every edge, ordered by (source index, target index)."""
+        emap = self._edges
+        return [(u, v, emap[(u, v)]) for u in self.vertices for v in self._out[u]]
 
     def edge_count(self) -> int:
         return len(self._edges)
@@ -316,9 +312,9 @@ def merge_parallel(
     return WeightedDigraph(vertices, [(u, v, sums[(u, v)]) for (u, v) in order])
 
 
-def complete_graph(n: int, prefix: str = "v") -> WeightedDigraph:
-    """Undirected unweighted complete graph on n vertices, as a digraph."""
-    labels = [f"{prefix}{k + 1}" for k in range(n)]
+def complete_graph(n: int) -> WeightedDigraph:
+    """Undirected unweighted complete graph on v1..vn, as a digraph."""
+    labels = [f"v{k + 1}" for k in range(n)]
     pairs = [
         (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
     ]

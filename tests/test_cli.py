@@ -274,6 +274,8 @@ def _edges(*triples):
 NON_STRUCTURAL = {"vertices": ["a", "b", "c"], "edges": _edges(("a", "b", "1"), ("b", "c", "1"), ("c", "b", "1"), ("c", "a", "1"))}
 POLE = {"vertices": ["a", "b"], "edges": _edges(("a", "b", "1/l"))}
 BISECT = ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "0", "--w-out", "1"]
+# det(M - l*I) of a lone vertex with loop l is identically zero
+LOOP_L = {"vertices": ["a"], "edges": _edges(("a", "a", "l"))}
 
 
 @pytest.mark.parametrize(
@@ -290,6 +292,8 @@ BISECT = ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "0", "--w-out", 
         (POLE, BISECT + ["--vertex", "b"]),
         ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1"))}, ["laplacian", "--laplacian", "comb"]),
         ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1/2"), ("b", "a", "1"))}, ["weightset", "--subring", "int"]),
+        (LOOP_L, ["spectrum"]),
+        (LOOP_L, ["verify", "--set", "a"]),
     ],
     ids=[
         "reduce-set-non-structural",
@@ -303,6 +307,8 @@ BISECT = ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "0", "--w-out", 
         "bisect-existing-vertex",
         "laplacian-not-simple",
         "weightset-outside-subring",
+        "spectrum-zero-determinant",
+        "verify-zero-determinant",
     ],
 )
 def test_violated_precondition_exits_2_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -315,8 +321,20 @@ def test_violated_precondition_exits_2_with_one_error_line(tmp_path, capsys, gra
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "g.json"], ["proptest", "--cases", "x"], ["no-such-command"]],
-    ids=["verify-without-set", "proptest-cases-not-int", "unknown-command"],
+    [
+        ["verify", "g.json"],
+        ["proptest", "--cases", "x"],
+        ["proptest", "--cases", "-3"],
+        ["proptest", "--cases", "0"],
+        ["no-such-command"],
+    ],
+    ids=[
+        "verify-without-set",
+        "proptest-cases-not-int",
+        "proptest-cases-negative",
+        "proptest-cases-zero",
+        "unknown-command",
+    ],
 )
 def test_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:

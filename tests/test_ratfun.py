@@ -1,12 +1,23 @@
 """Weight-field arithmetic, parsing, and formatting."""
 
+import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from isored import proptest
-from isored.oracles import poly_gcd_euclid
+from isored import (
+    WeightedDigraph,
+    charpoly_numerators_equal,
+    is_structural_set,
+    isomorphic,
+    proptest,
+    reduced_scc_check,
+    remove_vertex,
+    unique_reduce_to,
+)
+from isored.oracles import det_leibniz, det_ratfun_matrix, poly_gcd_euclid
 from isored.proptest import cross_product_mismatches, random_gcd_pair, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
@@ -72,18 +83,6 @@ def test_div_exact_polynomial():
 def test_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
-
-
-def test_eval_simple_point():
-    assert rf("1/l").eval(2) == pytest.approx(0.5)
-
-
-def test_eval_pole_is_undefined():
-    assert rf("1/l").eval(0) is None
-
-
-def test_eval_at_one():
-    assert rf("(l+1)/l").eval(1) == pytest.approx(2)
 
 
 def test_degree_gap_values():
@@ -361,3 +360,83 @@ def test_weight_suite_failures_carry_replay_data(monkeypatch, suite, seed, name,
             for f, m in squarefree_decompose(p):
                 rebuilt = rebuilt * f**m
             assert rebuilt.monic() == p.monic()
+
+
+def _replay_pi(g, sets, text):
+    a, b, c = (parse_weight(field.partition("=")[2]) for field in text.split(" "))
+    return (a * b / (L - c)).pi() < a.pi() + b.pi()
+
+
+def _replay_removal(g, sets, text):
+    (target,) = sets
+    h = g
+    for v in g.vertices:
+        if v not in target:
+            h = remove_vertex(h, v)
+    return unique_reduce_to(g, target)[0] == h
+
+
+def _replay_determinants(g, sets, text):
+    mat = [[parse_weight(w) for w in row] for row in json.loads(text)]
+    return det_ratfun_matrix(mat) == det_leibniz(mat)
+
+
+@pytest.mark.parametrize(
+    "suite,seed,target,broken,message,replay",
+    [
+        ("pi_rule_suite", 1, (RatFun, "pi"), lambda self: 0, "pi(ab/(l-c)) not reduced, ", _replay_pi),
+        (
+            "commutativity_suite", 11, (proptest, "unique_reduce_to"), lambda g, t: (g, None),
+            "unique reduction differs from manual removal", _replay_removal,
+        ),
+        (
+            "gpi_closure_suite", 13, (proptest, "is_structural_set"), lambda g, s: False,
+            "single-vertex complement not structural",
+            lambda g, sets, text: is_structural_set(g, sets[0]),
+        ),
+        (
+            "scc_suite", 14, (proptest, "reduced_scc_check"), lambda g, s: SimpleNamespace(ok=False),
+            "component blocks mismatch",
+            lambda g, sets, text: reduced_scc_check(g, sets[0]).ok,
+        ),
+        (
+            "oracle_suite", 17, (proptest, "det_leibniz"), lambda m: ZERO,
+            "elimination and expansion determinants differ, matrix=", _replay_determinants,
+        ),
+        (
+            "isomorphism_suite", 20, (proptest, "isomorphic"), lambda g, h: None,
+            "relabeled graph not recognized",
+            lambda g, sets, text: isomorphic(g, g) is not None,
+        ),
+        (
+            "transpose_suite", 21, (proptest, "charpoly_numerators_equal"), lambda g, h: False,
+            "transpose changed the spectrum",
+            lambda g, sets, text: charpoly_numerators_equal(g, g.transpose()),
+        ),
+    ],
+    ids=["pi-rules", "removal-commutativity", "degree-gap-closure", "scc", "oracles", "isomorphism", "graph-basics"],
+)
+def test_graph_suite_failures_carry_replay_data(monkeypatch, suite, seed, target, broken, message, replay):
+    monkeypatch.setattr(*target, broken)
+    result = getattr(proptest, suite)(cases=6, seed=seed)
+    monkeypatch.undo()
+    planted = [f for f in result.failures if message in f]
+    assert planted
+    for line in result.failures:
+        assert re.match(f"{result.name} seed={seed} case=[0-9]+[: ]", line), line
+        if " graph=" in line:
+            head, _, rest = line.partition(" graph=")
+            data, end = json.JSONDecoder().raw_decode(rest)
+            WeightedDigraph.from_json_dict(data)
+            assert rest[end:].startswith(": "), line
+    for line in planted:
+        # the line alone replays the case against the unbroken code
+        head, _, text = line.partition(message)
+        g = sets = None
+        if " graph=" in head:
+            tag, _, rest = head.partition(" graph=")
+            data, end = json.JSONDecoder().raw_decode(rest)
+            assert rest[end:] == ": "
+            g = WeightedDigraph.from_json_dict(data)
+            sets = [step.split(",") if step else [] for step in tag.partition(" set=")[2].split(";")]
+        assert replay(g, sets, text), line

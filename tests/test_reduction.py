@@ -256,6 +256,26 @@ def test_long_cycle_through_one_vertex_needs_no_recursion():
     assert expand(g, ["v0"]) == g.relabeled(fresh)
 
 
+def test_reducing_a_long_cycle_builds_a_bounded_number_of_graphs(monkeypatch):
+    # the complement is eliminated on weight maps, not by building a graph
+    # per removed vertex, which made a long chain quadratic in its length
+    n = 60
+    labels = [f"v{k}" for k in range(n)]
+    g = WeightedDigraph(labels, [(labels[k], labels[(k + 1) % n], ONE) for k in range(n)])
+    built = []
+    init = WeightedDigraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedDigraph, "__init__", counting_init)
+    r = reduce(g, ["v0"])
+    monkeypatch.undo()
+    assert r == WeightedDigraph(["v0"], [("v0", "v0", ONE / L ** (n - 1))])
+    assert len(built) <= 2
+
+
 def test_unique_reduce_rejects_bad_degree_gap():
     g = WeightedDigraph(["a", "b"], [("a", "b", rf("l+1")), ("b", "a", ONE)])
     with pytest.raises(ValueError):

@@ -73,6 +73,14 @@ def test_char_det_empty_graph_is_one():
     assert char_det(WeightedDigraph([], [])) == ONE
 
 
+def test_spectrum_refuses_an_identically_zero_determinant():
+    # a lone vertex with loop l: det(M - l*I) = l - l, which every number solves
+    g = WeightedDigraph(["a"], [("a", "a", RatFun.var())])
+    assert char_det(g).is_zero()
+    with pytest.raises(ValueError, match="identically zero"):
+        spectrum(g)
+
+
 def test_char_det_agrees_with_fraction_field_elimination():
     rng = random.Random(40)
     for _ in range(40):

@@ -18,6 +18,15 @@ from isored import (
 ONE = RatFun.one()
 
 
+def test_edges_come_in_vertex_index_order_not_insertion_order():
+    # JSON output lists the edges in this order
+    pairs = [("b", "a"), ("a", "b"), ("c", "b"), ("a", "a"), ("c", "a"), ("b", "c")]
+    g = WeightedDigraph(["c", "a", "b"], [(u, v, ONE) for u, v in pairs])
+    order = [("c", "a"), ("c", "b"), ("a", "a"), ("a", "b"), ("b", "c"), ("b", "a")]
+    assert [(u, v) for u, v, _ in g.edges()] == order
+    assert [(e["from"], e["to"]) for e in g.to_json_dict()["edges"]] == order
+
+
 def test_undirected_triangle_gets_six_arcs():
     g = complete_graph(3)
     assert g.edge_count() == 6
