@@ -1,10 +1,11 @@
 """Weighted-digraph isomorphism and the reduction-induced equivalences.
 
 Isomorphism demands a vertex bijection preserving edges and exact
-canonical weights.  The search is backtracking over candidate assignments,
-pruned by per-vertex invariants (degrees, loop weight, sorted in/out
-weight multisets); that is exponential in the worst case but the inputs
-here are reduced graphs of desk scale.
+canonical weights.  The search backtracks over candidate assignments on an
+explicit stack (so a long graph cannot exhaust the recursion limit), pruned
+by per-vertex invariants (degrees, loop weight, sorted in/out weight
+multisets); that is exponential in the worst case but the inputs here are
+reduced graphs of desk scale.
 """
 
 from __future__ import annotations
@@ -51,24 +52,20 @@ def isomorphic(g: WeightedDigraph, h: WeightedDigraph) -> Optional[Dict[str, str
                 return False
         return g.loop(v) == h.loop(u)
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for u in candidates[v]:
-            if u in used or not consistent(v, u):
-                continue
+    # stack[k] iterates the candidates left for order[k]
+    stack = [iter(candidates[v]) for v in order[:1]]
+    while stack and len(assignment) < len(order):
+        v = order[len(stack) - 1]
+        used.discard(assignment.pop(v, None))  # undo v's last try, if any
+        u = next((u for u in stack[-1] if u not in used and consistent(v, u)), None)
+        if u is None:
+            stack.pop()
+        else:
             assignment[v] = u
             used.add(u)
-            if search(k + 1):
-                return True
-            del assignment[v]
-            used.discard(u)
-        return False
-
-    if search(0):
-        return dict(assignment)
-    return None
+            if len(stack) < len(order):
+                stack.append(iter(candidates[order[len(stack)]]))
+    return dict(assignment) if len(assignment) == len(order) else None
 
 
 def common_reduction(

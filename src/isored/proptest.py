@@ -57,6 +57,7 @@ from .spectrum import (
     spectrum,
 )
 from .structural import (
+    ForbiddenSet,
     basic_structural_set,
     check_structural_set,
     forbidden_set,
@@ -445,9 +446,14 @@ def commutativity_suite(cases: int = 100, seed: int = 11) -> SuiteResult:
         if ga != gb:
             orders = f"{','.join(order_a)};{','.join(order_b)}"
             failures.append(f"{tag(target)}: removal orders disagree, orders={orders}")
-        gu, _ = unique_reduce_to(g, target)
+        h, ref = g, ForbiddenSet.empty()
+        for v in removed:  # the per-vertex route, as the reference
+            h, ref = remove_vertex(h, v), ref.union(forbidden_set(h, set(h.vertices) - {v}))
+        gu, nu = unique_reduce_to(g, target)
         if gu != ga:
             failures.append(f"{tag(target)}: unique reduction differs from manual removal")
+        if (nu.poly, nu.to_json_dict()) != (ref.poly, ref.to_json_dict()):
+            failures.append(f"{tag(target)}: unique reduction's exception set differs")
     return SuiteResult("removal-commutativity", cases, failures)
 
 

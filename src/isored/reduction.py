@@ -9,13 +9,14 @@ reduced graph on S carries, for each ordered pair, the sum of branch
 products; pairs whose products cancel to zero get no edge.
 
 ``reduce`` computes that graph as the Schur complement
-``M_SS + M_{S,S'} (l I - M_{S'S'})^{-1} M_{S',S}`` of the complement S':
-it eliminates the off-S vertices one at a time on one pair of weight
-maps, the same elimination ``remove_vertex`` runs for a single vertex.
-The result equals the branch-product sum exactly (``oracles.branch_product``
-is the definition); the branch walk itself runs only where the branches
-are the output (enumeration, decompositions, expansion, pruning, and the
-subring-preserving reduction).
+``M_SS + M_{S,S'} (l I - M_{S'S'})^{-1} M_{S',S}`` of the complement S'.
+``reduce``, ``remove_vertex``, ``sequential_reduce`` and ``unique_reduce_to``
+share that one elimination, vertex by vertex on one pair of weight maps; it
+also returns each pivot's loop weight, and ``structural.exception_set`` of
+those loops is the exception set.  The result equals the branch-product sum
+exactly (``oracles.branch_product`` is the definition); the branch walk
+itself runs only where the branches are the output (enumeration,
+decompositions, expansion, pruning, and the subring-preserving reduction).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .structural import (
     ForbiddenSet,
     StructuralSetError,
     check_structural_set,
-    forbidden_set,
+    exception_set,
     require_g_pi,
     require_structural_set,
 )
@@ -145,7 +146,7 @@ def reduce(g: WeightedDigraph, s: Iterable[str]) -> WeightedDigraph:
     vertex, and every pivot l - w(v, v) is the nonzero one the structural
     check guarantees."""
     s_set = set(require_structural_set(g, s))
-    return _eliminate(g, [u for u in g.vertices if u not in s_set])
+    return _eliminate(g, [u for u in g.vertices if u not in s_set])[0]
 
 
 def remove_vertex(g: WeightedDigraph, v: str) -> WeightedDigraph:
@@ -154,22 +155,24 @@ def remove_vertex(g: WeightedDigraph, v: str) -> WeightedDigraph:
         raise UnknownVertexError(f"unknown vertex {v!r}")
     if g.n < 2:
         raise StructuralSetError("cannot remove the only vertex")
-    return _eliminate(g, [v])
+    return _eliminate(g, [v])[0]
 
 
-def _eliminate(g: WeightedDigraph, doomed: Sequence[str]) -> WeightedDigraph:
+def _eliminate(g: WeightedDigraph, doomed: Sequence[str]) -> Tuple[WeightedDigraph, List[RatFun]]:
     """Remove the vertices ``doomed`` in turn, each by the closed form
     new(i,j) = w(i,j) + w(i,v) w(v,j) / (l - w(v,v)), where only
     in-neighbour/out-neighbour pairs of v gain a term.  The weights live in
-    out- and in-maps until the one graph built at the end."""
+    out- and in-maps until the one graph built at the end, which is
+    returned with each pivot's loop w(v,v) as it stood when v was removed."""
     out: Dict[str, Dict[str, RatFun]] = {u: {} for u in g.vertices}
     into: Dict[str, Dict[str, RatFun]] = {u: {} for u in g.vertices}
     for i, j, w in g.edges():
         out[i][j] = into[j][i] = w
-    lam = RatFun.var()
+    lam, loops = RatFun.var(), []
     for v in doomed:
         succ, pred = out.pop(v), into.pop(v)
         loop = succ.pop(v, RatFun.zero())
+        loops.append(loop)
         pred.pop(v, None)
         if loop == lam:
             raise StructuralSetError(
@@ -189,23 +192,24 @@ def _eliminate(g: WeightedDigraph, doomed: Sequence[str]) -> WeightedDigraph:
                     row[j] = into[j][i] = w
                 else:
                     del row[j], into[j][i]
-    return WeightedDigraph(out, [(i, j, w) for i, row in out.items() for j, w in row.items()])
+    edges = [(i, j, w) for i, row in out.items() for j, w in row.items()]
+    return WeightedDigraph(out, edges), loops
 
 
 def sequential_reduce(
     g: WeightedDigraph, sets: Sequence[Iterable[str]]
 ) -> Tuple[WeightedDigraph, ForbiddenSet]:
-    """Apply a sequence of reductions, accumulating the exception sets of
-    every step by union."""
-    current = g
-    acc = ForbiddenSet.empty()
+    """Apply a sequence of reductions; the exception set is that of every
+    step's pivot loops, in order."""
+    current, loops = g, []
     for k, s in enumerate(sets):
         check = check_structural_set(current, s)
         if not check.ok:
             raise StructuralSetError(f"step {k + 1}: {check.reason}")
-        acc = acc.union(forbidden_set(current, s))
-        current = reduce(current, s)
-    return current, acc
+        s_set = set(s)
+        current, step = _eliminate(current, [u for u in current.vertices if u not in s_set])
+        loops += step
+    return current, exception_set(loops)
 
 
 def unique_reduce_to(
@@ -214,19 +218,15 @@ def unique_reduce_to(
     """Reduce to an arbitrary nonempty target vertex set by removing the
     complement one vertex at a time; requires every weight to have
     nonpositive degree gap, which makes the result order independent."""
-    require_g_pi(g)
     target_set = set(target)
     if not target_set:
         raise ValueError("target vertex set must be nonempty")
     for v in target_set:
         if not g.has_vertex(v):
             raise UnknownVertexError(f"unknown vertex {v!r}")
-    current = g
-    acc = ForbiddenSet.empty()
-    for v in [u for u in g.vertices if u not in target_set]:
-        acc = acc.union(forbidden_set(current, [u for u in current.vertices if u != v]))
-        current = remove_vertex(current, v)
-    return current, acc
+    require_g_pi(g)
+    reduced, loops = _eliminate(g, [u for u in g.vertices if u not in target_set])
+    return reduced, exception_set(loops)
 
 
 # ----------------------------------------------------------------------

@@ -155,7 +155,7 @@ def reduced_scc_check(g: WeightedDigraph, s) -> SccCheckReport:
     s_ordered = require_structural_set(g, s)
     s_set = set(s_ordered)
     reduced = reduce(g, s_ordered)
-    reduced_parts = scc_partition(reduced)
+    reduced_blocks = scc_filter(reduced)
     lines: List[str] = []
     ok = True
 
@@ -169,7 +169,7 @@ def reduced_scc_check(g: WeightedDigraph, s) -> SccCheckReport:
         expected_sets.append(frozenset(s_i))
         expected_graphs[frozenset(s_i)] = reduce(sub, s_i)
 
-    actual_sets = reduced_parts.as_sets()
+    actual_sets = scc_partition(reduced).as_sets()
     if sorted(expected_sets, key=sorted) != sorted(actual_sets, key=sorted):
         ok = False
         lines.append(
@@ -178,7 +178,7 @@ def reduced_scc_check(g: WeightedDigraph, s) -> SccCheckReport:
         )
     else:
         for key in expected_sets:
-            block = scc_filter(reduced).subgraph(key)
+            block = reduced_blocks.subgraph(key)
             if block != expected_graphs[key]:
                 ok = False
                 lines.append(f"component {sorted(key)} block differs from its reduction")

@@ -213,17 +213,20 @@ class ForbiddenSet:
 
 
 def forbidden_set(g: WeightedDigraph, s: Iterable[str]) -> ForbiddenSet:
-    """Exception points of (g, s): for each complement vertex with loop
-    weight p/q, the solutions of l*q(l) = p(l) plus the roots of q."""
-    s_ordered = require_structural_set(g, s)
-    s_set = set(s_ordered)
+    """Exception points of (g, s): those of the complement's loop weights."""
+    s_set = set(require_structural_set(g, s))
+    return exception_set(g.loop(v) for v in g.vertices if v not in s_set)
+
+
+def exception_set(loops: Iterable[RatFun]) -> ForbiddenSet:
+    """Exception points of eliminated vertices with these loop weights: for
+    each loop weight p/q, the solutions of l*q(l) = p(l) plus the roots of q."""
     lam = Poly.var()
     points: List[ForbiddenPoint] = []
     seen = set()
-    for v in g.vertices:
-        if v in s_set or g.loop(v) in seen:
+    for w in loops:
+        if w in seen:
             continue  # a repeated loop weight repeats its witnesses
-        w = g.loop(v)
         seen.add(w)
         eq = lam * w.den - w.num
         if not eq.is_zero():

@@ -233,6 +233,11 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             ["spectrum", "--out", PurePath("missing_dir", "x.json")],
             id="out-dir-missing",
         ),
+        pytest.param(
+            {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "weight": "l"}]},
+            ["reduce", "--to", "zz"],
+            id="to-unknown-vertex-positive-degree-gap",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -490,6 +495,26 @@ def test_isocheck_command(tmp_path, capsys):
     code, out = run_cli(capsys, "isocheck", r1, r1)
     data = json.loads(out)
     assert data["isomorphic"] is True and data["witness"] is not None
+
+
+def test_isocheck_and_weightset_on_a_long_cycle(tmp_path, capsys):
+    # the isomorphism search keeps its own stack, one level per vertex, so
+    # a long graph does not exhaust the interpreter's recursion limit
+    n = 1200
+    cycle = WeightedDigraph(
+        [f"v{k}" for k in range(n)], [(f"v{k}", f"v{(k + 1) % n}", ONE) for k in range(n)]
+    )
+    relabelled = WeightedDigraph(
+        [f"u{k}" for k in range(n)], [(f"u{k}", f"u{(k + 1) % n}", ONE) for k in reversed(range(n))]
+    )
+    path = write_graph(tmp_path, "c.json", cycle)
+    code, out = run_cli(capsys, "isocheck", path, write_graph(tmp_path, "r.json", relabelled))
+    assert code == 0
+    data = json.loads(out)
+    assert data["isomorphic"] is True
+    assert all(relabelled.has_edge(data["witness"][u], data["witness"][v]) for u, v, _ in cycle.edges())
+    code, _ = run_cli(capsys, "weightset", path)
+    assert code == 0
 
 
 def test_proptest_command_smoke(capsys):

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from isored import (
+    ForbiddenSet,
     WeightedDigraph,
     charpoly_numerators_equal,
+    forbidden_set,
     is_structural_set,
     isomorphic,
     proptest,
@@ -376,6 +378,16 @@ def _replay_removal(g, sets, text):
     return unique_reduce_to(g, target)[0] == h
 
 
+def _replay_removal_exceptions(g, sets, text):
+    (target,) = sets
+    h, ref = g, ForbiddenSet.empty()
+    for v in g.vertices:
+        if v not in target:
+            h, ref = remove_vertex(h, v), ref.union(forbidden_set(h, set(h.vertices) - {v}))
+    n = unique_reduce_to(g, target)[1]
+    return (n.poly, n.to_json_dict()) == (ref.poly, ref.to_json_dict())
+
+
 def _replay_determinants(g, sets, text):
     mat = [[parse_weight(w) for w in row] for row in json.loads(text)]
     return det_ratfun_matrix(mat) == det_leibniz(mat)
@@ -386,8 +398,14 @@ def _replay_determinants(g, sets, text):
     [
         ("pi_rule_suite", 1, (RatFun, "pi"), lambda self: 0, "pi(ab/(l-c)) not reduced, ", _replay_pi),
         (
-            "commutativity_suite", 11, (proptest, "unique_reduce_to"), lambda g, t: (g, None),
+            "commutativity_suite", 11, (proptest, "unique_reduce_to"),
+            lambda g, t: (g, ForbiddenSet.empty()),
             "unique reduction differs from manual removal", _replay_removal,
+        ),
+        (
+            "commutativity_suite", 11, (proptest, "unique_reduce_to"),
+            lambda g, t: (unique_reduce_to(g, t)[0], ForbiddenSet.empty()),
+            "unique reduction's exception set differs", _replay_removal_exceptions,
         ),
         (
             "gpi_closure_suite", 13, (proptest, "is_structural_set"), lambda g, s: False,
@@ -414,7 +432,10 @@ def _replay_determinants(g, sets, text):
             lambda g, sets, text: charpoly_numerators_equal(g, g.transpose()),
         ),
     ],
-    ids=["pi-rules", "removal-commutativity", "degree-gap-closure", "scc", "oracles", "isomorphism", "graph-basics"],
+    ids=[
+        "pi-rules", "removal-commutativity", "removal-commutativity-exceptions", "degree-gap-closure",
+        "scc", "oracles", "isomorphism", "graph-basics",
+    ],
 )
 def test_graph_suite_failures_carry_replay_data(monkeypatch, suite, seed, target, broken, message, replay):
     monkeypatch.setattr(*target, broken)

@@ -256,9 +256,9 @@ def test_long_cycle_through_one_vertex_needs_no_recursion():
     assert expand(g, ["v0"]) == g.relabeled(fresh)
 
 
-def test_reducing_a_long_cycle_builds_a_bounded_number_of_graphs(monkeypatch):
-    # the complement is eliminated on weight maps, not by building a graph
-    # per removed vertex, which made a long chain quadratic in its length
+def _built_graphs(monkeypatch, run):
+    """``run()`` on a 60-vertex unit cycle, with the number of graphs it
+    constructed."""
     n = 60
     labels = [f"v{k}" for k in range(n)]
     g = WeightedDigraph(labels, [(labels[k], labels[(k + 1) % n], ONE) for k in range(n)])
@@ -270,10 +270,26 @@ def test_reducing_a_long_cycle_builds_a_bounded_number_of_graphs(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(WeightedDigraph, "__init__", counting_init)
-    r = reduce(g, ["v0"])
+    result = run(g)
     monkeypatch.undo()
-    assert r == WeightedDigraph(["v0"], [("v0", "v0", ONE / L ** (n - 1))])
-    assert len(built) <= 2
+    return result, len(built)
+
+
+def test_reducing_a_long_cycle_builds_a_bounded_number_of_graphs(monkeypatch):
+    # the complement is eliminated on weight maps, not by building a graph
+    # per removed vertex, which made a long chain quadratic in its length
+    r, built = _built_graphs(monkeypatch, lambda g: reduce(g, ["v0"]))
+    assert r == WeightedDigraph(["v0"], [("v0", "v0", ONE / L ** 59)])
+    assert built <= 2
+
+
+def test_unique_reduction_of_a_long_cycle_builds_a_bounded_number_of_graphs(monkeypatch):
+    # unique_reduce_to runs the same one elimination, not one graph rebuild
+    # and one exception set per removed vertex
+    (r, n_set), built = _built_graphs(monkeypatch, lambda g: unique_reduce_to(g, ["v0"]))
+    assert r == WeightedDigraph(["v0"], [("v0", "v0", ONE / L ** 59)])
+    assert n_set.values() == [0]  # every pivot loop is zero
+    assert built <= 2
 
 
 def test_unique_reduce_rejects_bad_degree_gap():
