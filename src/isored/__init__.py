@@ -103,6 +103,7 @@ _LAZY_NAMES = {
         "det_leibniz",
         "det_ratfun_matrix",
         "eig_dense",
+        "poly_divmod",
         "poly_gcd_euclid",
         "reduce_by_paths",
         "spectra_equal_up_to",

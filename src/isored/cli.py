@@ -3,8 +3,10 @@
 Commands take a graph JSON file and print JSON or a plain-text report to
 stdout (or ``--out``).  Output is byte-stable for identical inputs: vertex
 and edge orders are fixed, weights print in canonical form with the
-variable spelled ``l``, exact coefficients print as integer ratios, and
-spectrum roots print as decimals with 12 significant digits.
+variable spelled ``l``, and exact coefficients print as integer ratios.
+A root in JSON output (``spectrum``, and ``reduce``'s ``forbidden_set``)
+prints each of its parts as the shortest decimal that reads back as the
+same double; ``verify``'s report prints roots with 12 significant digits.
 
 Exit codes: 0 success or PASS, 1 malformed input or unwritable output, 2
 violated mathematical precondition (for example a non-structural set), 3

@@ -4,8 +4,10 @@ Isomorphism demands a vertex bijection preserving edges and exact
 canonical weights.  The search backtracks over candidate assignments on an
 explicit stack (so a long graph cannot exhaust the recursion limit), pruned
 by per-vertex invariants (degrees, loop weight, sorted in/out weight
-multisets); that is exponential in the worst case but the inputs here are
-reduced graphs of desk scale.
+multisets).  A candidate is checked against its assigned neighbours in
+both graphs only, so one check costs the two vertices' degrees, not the
+size of the assignment.  The worst case is exponential, but the inputs
+here are reduced graphs of desk scale.
 """
 
 from __future__ import annotations
@@ -42,13 +44,22 @@ def isomorphic(g: WeightedDigraph, h: WeightedDigraph) -> Optional[Dict[str, str
     }
     order = sorted(g.vertices, key=lambda v: len(candidates[v]))
     assignment: Dict[str, str] = {}
-    used = set()
+    inverse: Dict[str, str] = {}  # assignment's values back to its keys
 
     def consistent(v: str, u: str) -> bool:
-        for w, x in assignment.items():
-            if g.weight(v, w) != h.weight(u, x):
+        # a pair of assigned vertices adjacent to neither v nor u has weight
+        # 0 on both sides, so only the neighbours can break the match
+        for w in g.successors(v):
+            if w in assignment and g.weight(v, w) != h.weight(u, assignment[w]):
                 return False
-            if g.weight(w, v) != h.weight(x, u):
+        for w in g.predecessors(v):
+            if w in assignment and g.weight(w, v) != h.weight(assignment[w], u):
+                return False
+        for x in h.successors(u):
+            if x in inverse and h.weight(u, x) != g.weight(v, inverse[x]):
+                return False
+        for x in h.predecessors(u):
+            if x in inverse and h.weight(x, u) != g.weight(inverse[x], v):
                 return False
         return g.loop(v) == h.loop(u)
 
@@ -56,13 +67,13 @@ def isomorphic(g: WeightedDigraph, h: WeightedDigraph) -> Optional[Dict[str, str
     stack = [iter(candidates[v]) for v in order[:1]]
     while stack and len(assignment) < len(order):
         v = order[len(stack) - 1]
-        used.discard(assignment.pop(v, None))  # undo v's last try, if any
-        u = next((u for u in stack[-1] if u not in used and consistent(v, u)), None)
+        inverse.pop(assignment.pop(v, None), None)  # undo v's last try, if any
+        u = next((u for u in stack[-1] if u not in inverse and consistent(v, u)), None)
         if u is None:
             stack.pop()
         else:
             assignment[v] = u
-            used.add(u)
+            inverse[u] = v
             if len(stack) < len(order):
                 stack.append(iter(candidates[order[len(stack)]]))
     return dict(assignment) if len(assignment) == len(order) else None

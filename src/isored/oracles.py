@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the production code paths so they can anchor the
-randomized test suites: the monic Euclidean gcd over Q(i) (against the
+randomized test suites: long division over Q(i) (against
+``Poly.exact_div``) and the monic Euclidean gcd built on it (against the
 subresultant ``poly_gcd``), a fraction-field elimination determinant and a
 permutation-expansion determinant (both against ``char_det``), an
 exhaustive path enumerator, the branch product, and the reduction built
@@ -19,18 +20,41 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .ratfun import Poly, RatFun
+from .ratfun import GR_ZERO, Poly, RatFun
 from .reduction import Branch
 from .spectrum import SpectralList, SpectralPoint, spectrum_minus
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
 
 
+def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
+    """Quotient and remainder of a by a nonzero b, by long division over
+    Q(i) on the Gaussian-rational coefficients."""
+    if not b.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dv = b.coeffs
+    dd = len(dv) - 1
+    if len(rem) - 1 < dd:
+        return Poly.zero(), a
+    lead_inv = dv[-1].inverse()
+    q = [GR_ZERO] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        f = c * lead_inv
+        q[k - dd] = f
+        for j in range(dd + 1):
+            rem[k - dd + j] = rem[k - dd + j] - f * dv[j]
+    return Poly(q), Poly(rem)
+
+
 def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean algorithm over Q(i),
-    each remainder made monic."""
+    each remainder (from ``poly_divmod``) made monic."""
     while b.coeffs:
-        a, b = b, (a % b)
+        a, b = b, poly_divmod(a, b)[1]
         if b.coeffs:
             b = b.monic()
     return a.monic() if a.coeffs else a

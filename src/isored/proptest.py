@@ -21,6 +21,7 @@ from .oracles import (
     det_leibniz,
     det_ratfun_matrix,
     eig_dense,
+    poly_divmod,
     poly_gcd_euclid,
     reduce_by_paths,
     spectra_equal_up_to,
@@ -386,6 +387,11 @@ def squarefree_suite(cases: int = 200, seed: int = 3) -> SuiteResult:
         for f, m in decomp:
             rebuilt = rebuilt * f**m
             degsum += m * f.degree
+            if p.exact_div(f) != poly_divmod(p, f)[0]:
+                failures.append(
+                    f"{tag}: exact_div by a factor differs from the Q(i) long division, "
+                    f"p={poly_to_string(p)}"
+                )
         if rebuilt.monic() != p.monic():
             failures.append(f"{tag}: reconstruction differs, p={poly_to_string(p)}")
         if degsum != p.degree:

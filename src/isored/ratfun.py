@@ -35,9 +35,13 @@ runs the subresultant remainder sequence over Z[i] (Collins 1967; Brown
 1971), so no ``Fraction`` arithmetic happens until the last remainder is
 made monic.  The gcd is unique up to a unit, so this is the same monic
 polynomial the Euclidean algorithm over Q(i) gives
-(``oracles.poly_gcd_euclid``, the reference).  :func:`format_weight`
-prints through the same clearing, ``_gaussian_ints``, applied to the
-numerator's and denominator's coefficients together.
+(``oracles.poly_gcd_euclid``, the reference).  :meth:`Poly.exact_div`,
+the one polynomial division (Bareiss steps, Henrici cancellation, Yun's
+squarefree split), is long division over Z[i] through the same clearing,
+``_gaussian_ints``; division with a remainder over Q(i) is
+``oracles.poly_divmod``, the reference.  :func:`format_weight` prints
+through that clearing too, applied to the numerator's and denominator's
+coefficients together.
 
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
@@ -245,35 +249,62 @@ class Poly:
                 base = base * base
         return out
 
-    def divmod(self, other: "Poly"):
-        """Exact Euclidean division; ``other`` must be nonzero."""
+    def exact_div(self, other: "Poly") -> "Poly":
+        """The quotient ``self / other``, which must be a polynomial.
+
+        Long division over Z[i]: both operands are cleared to
+        Gaussian-integer polynomials, and each quotient coefficient is
+        t * conj(lc) / |lc|^2 for the leading remainder coefficient t and
+        the divisor's leading coefficient lc.  Where |lc|^2 does not divide
+        that, the rest of the remainder and a running integer denominator
+        are multiplied by |lc|^2 first.  ``Fraction`` coefficients are built
+        once, from the integer quotient, its denominators and the scales.
+        """
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead_inv = dv[-1].inverse()
-        if len(rem) - 1 < dd:
-            return _P_ZERO, self
-        q = [GR_ZERO] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = c * lead_inv
-            q[k - dd] = f
-            for j in range(dd + 1):
-                rem[k - dd + j] = rem[k - dd + j] - f * dv[j]
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if r.coeffs:
+        if not self.coeffs:
+            return _P_ZERO
+        dq = len(self.coeffs) - len(other.coeffs)
+        if dq < 0:
             raise ValueError("inexact polynomial division")
-        return q
+        # descending degree; self = (ar + ai*i) * ka/ma, other = (br + bi*i) * kb/mb
+        ar, ai, (ma, ka) = _gaussian_ints(self.coeffs[::-1])
+        br, bi, (mb, kb) = _gaussian_ints(other.coeffs[::-1])
+        lr, li = br[0], bi[0]
+        n = lr * lr + li * li
+        br, bi = br[1:], bi[1:]
+        dd = len(br)
+        den = 1
+        quot = []  # (re, im, den): one quotient coefficient times den
+        for k in range(dq + 1):
+            tr, ti = ar[k], ai[k]
+            qr, qi = tr * lr + ti * li, ti * lr - tr * li
+            if qr % n or qi % n:
+                # scaled by n, the coefficient is t * n * conj(lc) / n
+                ar[k + 1 :] = [x * n for x in ar[k + 1 :]]
+                ai[k + 1 :] = [y * n for y in ai[k + 1 :]]
+                den *= n
+            else:
+                qr, qi = qr // n, qi // n
+            quot.append((qr, qi, den))
+            if qr or qi:
+                # the remainder less q * x^(dq-k) * (other without its lead)
+                zs = list(zip(ar[k + 1 : k + 1 + dd], ai[k + 1 : k + 1 + dd], br, bi))
+                ar[k + 1 : k + 1 + dd] = [x - qr * c + qi * d for x, y, c, d in zs]
+                ai[k + 1 : k + 1 + dd] = [y - qr * d - qi * c for x, y, c, d in zs]
+        if any(ar[dq + 1 :]) or any(ai[dq + 1 :]):
+            raise ValueError("inexact polynomial division")
+        # self / other = (quotient over Z[i]) * fn / fd
+        fn, fd = ka * mb, ma * kb
+        out = Poly.__new__(Poly)
+        out.coeffs = tuple(
+            GaussianRational(
+                Fraction(qr * fn, d * fd) if qr else _F0,
+                Fraction(qi * fn, d * fd) if qi else _F0,
+            )
+            for qr, qi, d in reversed(quot)
+        )
+        return out
 
     def monic(self) -> "Poly":
         if not self.coeffs:
@@ -321,8 +352,10 @@ _P_VAR.coeffs = (GR_ZERO, GR_ONE)
 
 def _gaussian_ints(cs: Sequence[GaussianRational]):
     """The coefficients ``cs`` cleared to Gaussian integers with integer
-    content 1, as (real parts, imaginary parts) in the order given: times
-    the lcm of their denominators, over the gcd of the resulting integers."""
+    content 1, as (real parts, imaginary parts) in the order given, and the
+    scale m/k as the int pair (m, k): the cleared values are ``cs`` times
+    the lcm m of their denominators, over the gcd k of the resulting
+    integers."""
     parts = [c.re for c in cs] + [c.im for c in cs]
     dens = [f.denominator for f in parts]
     nums = [f.numerator for f in parts]
@@ -332,7 +365,7 @@ def _gaussian_ints(cs: Sequence[GaussianRational]):
     k = int_gcd(*nums)
     if k > 1:
         nums = [x // k for x in nums]
-    return nums[: len(cs)], nums[len(cs) :]
+    return nums[: len(cs)], nums[len(cs) :], (m, k)
 
 
 def _gpow(ar: int, ai: int, n: int):
@@ -393,8 +426,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if len(b.coeffs) == 1:
         return _P_ONE
-    ur, ui = _gaussian_ints(a.coeffs[::-1])
-    vr, vi = _gaussian_ints(b.coeffs[::-1])
+    ur, ui, _ = _gaussian_ints(a.coeffs[::-1])
+    vr, vi, _ = _gaussian_ints(b.coeffs[::-1])
     gr, gi, hr, hi = 1, 0, 1, 0
     while True:
         delta = len(ur) - len(vr)
@@ -706,7 +739,7 @@ def format_weight(r: RatFun) -> str:
     leading coefficient is a positive integer and fixes the sign."""
     if r.is_zero():
         return "0"
-    re, im = _gaussian_ints(r.num.coeffs + r.den.coeffs)
+    re, im, _ = _gaussian_ints(r.num.coeffs + r.den.coeffs)
     cs = [GaussianRational(x, y) for x, y in zip(re, im)]
     k = len(r.num.coeffs)
     ns = poly_to_string(Poly(cs[:k]))

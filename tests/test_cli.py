@@ -640,7 +640,7 @@ combinatorial_laplacian_graph common_decomposition common_reduction compare_outs
 complete_bipartite_graph complete_graph det_leibniz det_ratfun_matrix eig_dense
 enumerate_branches expand expected_vertex_count forbidden_set format_weight
 generalized_laplacian_graph is_g_pi is_structural_set isoequiv isomorphic laplacian loop_bisect
-merge_parallel normalized_laplacian_graph oracles parse_weight poly_gcd poly_gcd_euclid
+merge_parallel normalized_laplacian_graph oracles parse_weight poly_divmod poly_gcd poly_gcd_euclid
 prune_off_branch ratfun
 reduce reduce_by_paths reduced_scc_check reduction remove_vertex roots scc scc_filter
 scc_partition sequential_reduce spectra_agree_outside spectra_equal_up_to spectrum

@@ -69,6 +69,43 @@ def test_witness_conjugates_adjacency_randomized():
                 assert g.weight(u, v) == h.weight(witness[u], witness[v])
 
 
+def _unit_cycle_copies(n):
+    """The unit n-cycle v_k -> v_(k+1), its copy relabelled v_k -> u_(7k mod n)
+    with the vertices listed in reverse, and its copy with every edge reversed."""
+    cycle = WeightedDigraph(
+        [f"v{k}" for k in range(n)], [(f"v{k}", f"v{(k + 1) % n}", ONE) for k in range(n)]
+    )
+    relabelled = WeightedDigraph(
+        [f"u{k}" for k in reversed(range(n))],
+        [(f"u{7 * k % n}", f"u{7 * (k + 1) % n}", ONE) for k in range(n)],
+    )
+    reversed_edges = WeightedDigraph(cycle.vertices, [(v, u, w) for u, v, w in cycle.edges()])
+    return cycle, {"relabelled": relabelled, "edge-reversed": reversed_edges}
+
+
+@pytest.mark.parametrize("copy", ["relabelled", "edge-reversed"])
+def test_isomorphism_search_checks_only_neighbours(monkeypatch, copy):
+    # every vertex of a unit cycle has the same signature, so the search
+    # tries about n/2 candidates per vertex; checking each against the whole
+    # assignment made that cubic (millions of weight lookups at n = 200)
+    n = 200
+    cycle, copies = _unit_cycle_copies(n)
+    h = copies[copy]
+    calls = [0]
+    weight = WeightedDigraph.weight
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return weight(self, u, v)
+
+    monkeypatch.setattr(WeightedDigraph, "weight", counted)
+    witness = isomorphic(cycle, h)
+    assert calls[0] <= 5 * n * n, calls[0]
+    monkeypatch.undo()
+    assert witness is not None
+    assert all(h.has_edge(witness[u], witness[v]) for u, v, _ in cycle.edges())
+
+
 def test_common_reduction_of_pair_graphs():
     assert common_reduction(
         branch_pair_expanded(), EXPANDED_SET, branch_pair_compact(), COMPACT_SET

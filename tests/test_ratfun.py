@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ from isored import (
     remove_vertex,
     unique_reduce_to,
 )
-from isored.oracles import det_leibniz, det_ratfun_matrix, poly_gcd_euclid
+from isored.oracles import det_leibniz, det_ratfun_matrix, poly_divmod, poly_gcd_euclid
 from isored.proptest import cross_product_mismatches, random_gcd_pair, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
@@ -33,6 +34,7 @@ from isored.ratfun import (
     poly_gcd,
     poly_to_string,
     squarefree_decompose,
+    _gaussian_ints,
 )
 
 L = RatFun.var()
@@ -85,6 +87,81 @@ def test_div_exact_polynomial():
 def test_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+def _exact_div_pair(rng, k):
+    """``(a, b)`` for the exact-division test; ``k`` picks the kind of pair."""
+
+    def coeff(gaussian):
+        re = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+        im = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) if gaussian else 0
+        return GaussianRational(re, im)
+
+    def poly(deg, gaussian):
+        lead = coeff(gaussian)
+        while not lead:
+            lead = coeff(gaussian)
+        return Poly([coeff(gaussian) for _ in range(deg)] + [lead])
+
+    kind = k % 4
+    a = Poly.zero() if k % 25 == 0 else poly(rng.randint(0, 5), kind == 1)
+    if kind == 2:  # a constant divisor
+        return a, poly(0, rng.random() < 0.5)
+    if kind < 2:
+        return a, poly(rng.randint(1, 4), kind == 1)
+    # a divisor with non-unit Gaussian content c; with conj(c) in the
+    # dividend, clearing takes out the integer |c|^2 and leaves a quotient
+    # that is not over Z[i]
+    cr, ci = rng.choice(((1, 1), (2, 1), (1, 2), (3, 2)))
+    f = Poly(
+        [GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(rng.randint(1, 3))]
+        + [GaussianRational(1)]
+    )
+    if rng.random() < 0.7 and a:
+        a = a * Poly.const(GaussianRational(cr, -ci))
+    return a, f * Poly.const(GaussianRational(cr, ci))
+
+
+def test_exact_div_equals_the_long_division_reference_randomized():
+    rng = random.Random(17)
+    taken = {"gaussian": 0, "rational": 0, "constant": 0, "zero": 0, "scaled": 0}
+    for k in range(400):
+        a, b = _exact_div_pair(rng, k)
+        p = a * b
+        q, r = poly_divmod(p, b)
+        assert p.exact_div(b) == a == q, (poly_to_string(p), poly_to_string(b))
+        assert not r
+        # the quotient of the cleared operands is over Z[i] exactly when the
+        # division never scales the remainder by |lc|^2
+        if p:
+            (_, _, (mp, kp)), (_, _, (mb, kb)) = _gaussian_ints(p.coeffs), _gaussian_ints(b.coeffs)
+            cleared = a.scale(GaussianRational(Fraction(mp * kb, kp * mb)))
+            taken["scaled"] += any(c.re.denominator > 1 or c.im.denominator > 1 for c in cleared.coeffs)
+        cs = p.coeffs + b.coeffs
+        taken["gaussian"] += any(c.im for c in cs)
+        taken["rational"] += bool(p) and not any(c.im for c in cs)
+        taken["constant"] += b.degree == 0
+        taken["zero"] += not p
+    assert min(taken.values()) >= 10, taken
+
+
+def test_exact_div_refuses_a_remainder_and_a_zero_divisor():
+    rng = random.Random(18)
+    for k in range(60):
+        a, b = _exact_div_pair(rng, k)
+        if b.degree < 1:
+            continue
+        # a nonzero remainder of lower degree than b, or a lower-degree dividend
+        r = Poly([GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(b.degree)])
+        if not r:
+            r = Poly.one()
+        for p in (a * b + r, r):
+            with pytest.raises(ValueError, match="inexact polynomial division"):
+                p.exact_div(b)
+            assert poly_divmod(p, b)[1] == r
+    for p in (Poly.one(), Poly.zero()):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            p.exact_div(Poly.zero())
 
 
 def test_degree_gap_values():
@@ -303,7 +380,7 @@ def test_poly_gcd_equals_the_euclidean_reference_randomized():
         g = poly_gcd(a, b)
         assert g == poly_gcd_euclid(a, b) == poly_gcd(b, a), (poly_to_string(a), poly_to_string(b))
         if a.degree > 0 and b.degree > 0:
-            assert not g % common  # the planted factor divides the gcd
+            assert not poly_divmod(g, common)[1]  # the planted factor divides the gcd
         taken["zero"] += a.is_zero() or b.is_zero()
         taken["constant"] += a.degree == 0 or b.degree == 0
         taken["repeated"] += poly_gcd(common, common.derivative()).degree > 0
@@ -338,9 +415,13 @@ def test_poly_gcd_of_the_recorded_degree_14_gaussian_pair():
             "squarefree_suite", 3, "poly_gcd_euclid", lambda a, b: Poly.zero(),
             "gcd(p, p') differs from the Euclidean gcd, p=",
         ),
+        (
+            "squarefree_suite", 3, "poly_divmod", lambda a, b: (Poly.zero(), Poly.zero()),
+            "exact_div by a factor differs from the Q(i) long division, p=",
+        ),
         ("parse_format_suite", 2, "parse_weight", lambda text: ZERO, "round-trip failed on "),
     ],
-    ids=["squarefree-decompose", "squarefree-gcd", "parse-format"],
+    ids=["squarefree-decompose", "squarefree-gcd", "squarefree-divmod", "parse-format"],
 )
 def test_weight_suite_failures_carry_replay_data(monkeypatch, suite, seed, name, broken, message):
     monkeypatch.setattr(proptest, name, broken)
@@ -361,6 +442,7 @@ def test_weight_suite_failures_carry_replay_data(monkeypatch, suite, seed, name,
             rebuilt = Poly.one()
             for f, m in squarefree_decompose(p):
                 rebuilt = rebuilt * f**m
+                assert p.exact_div(f) == poly_divmod(p, f)[0]
             assert rebuilt.monic() == p.monic()
 
 
