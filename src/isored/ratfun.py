@@ -56,6 +56,9 @@ The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 ``3/2i`` means (3/2)*i.  The unicode variable name is also accepted on
 input; :func:`format_weight` always emits ``l``.  Parentheses may nest
 at most ``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
+A power may reach at most ``MAX_POWER`` in degree and in a bound on its
+coefficient bit length; the parser checks that before it computes the
+power, and a larger one is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -151,9 +154,11 @@ class Poly:
 
     ``coeffs`` is an ascending-degree tuple with nonzero leading entry;
     the zero polynomial is the empty tuple and has degree ``NEG_INF``.
+    The hash is computed on first use and kept, since a tuple rehashes
+    every coefficient on each call.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[GaussianRational] = ()):
         cs = list(coeffs)
@@ -200,7 +205,11 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coeffs)
+            return self._hash
 
     # -- arithmetic ---------------------------------------------------
 
@@ -259,11 +268,14 @@ class Poly:
         that, the rest of the remainder and a running integer denominator
         are multiplied by |lc|^2 first.  ``Fraction`` coefficients are built
         once, from the integer quotient, its denominators and the scales.
+        Division by the constant 1 returns ``self`` at once.
         """
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.coeffs:
             return _P_ZERO
+        if other.coeffs == _P_ONE.coeffs:
+            return self
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             raise ValueError("inexact polynomial division")
@@ -758,6 +770,27 @@ _VAR_NAMES = ("lambda", "l", "λ")
 # bound keeps it well inside Python's default limit of 1000 frames
 MAX_PAREN_DEPTH = 200
 
+# the most degree, and the most coefficient bits, a power may reach: a few
+# characters such as l^1000000000 would otherwise ask for 10^9 coefficients
+MAX_POWER = 4096
+
+
+def _power_size(r: RatFun) -> int:
+    """What each unit of an exponent adds, at most, to the degree or to the
+    coefficient bit length of a power of ``r``.  For a numerator or
+    denominator p = P * k/m with P over Z[i] (``_gaussian_ints``), the
+    coefficients of P^n are bounded by the 1-norm of P to the n, so
+    ceil(log2) of that norm plus ceil(log2 max(m, k)) bounds the bits."""
+    if not r.num.coeffs:
+        return 0  # a power of zero is zero or one
+    size = 0
+    for p in (r.num, r.den):
+        re, im, (m, k) = _gaussian_ints(p.coeffs)
+        norm = sum(map(abs, re)) + sum(map(abs, im))
+        bits = (norm - 1).bit_length() + (max(m, k) - 1).bit_length()
+        size = max(size, p.degree, bits)
+    return size
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -883,7 +916,13 @@ class _Parser:
             ekind, eval_, epos = self.lex.next()
             if ekind != "num" or eval_.denominator != 1 or eval_ < 0:
                 raise ParseError("exponent must be an unsigned integer", epos)
-            value = value ** int(eval_)
+            n = int(eval_)
+            if n * _power_size(value) > MAX_POWER:
+                raise ParseError(
+                    f"the power passes the ceiling of {MAX_POWER} on degree and coefficient bits",
+                    pos,
+                )
+            value = value ** n
         return -value if negate else value
 
     def atom(self) -> RatFun:

@@ -7,10 +7,17 @@ the roots of ``num`` (poles are cancelled by canonicality), their
 multiplicities come from the exact squarefree decomposition, and numeric
 root values are companion-matrix eigenvalues polished by Newton steps.
 
-``char_det`` clears each row's denominators and runs a fraction-free
-(Bareiss) elimination, which avoids per-step gcds.  It is the one
-determinant route; the tests cross-check it against the fraction-field
-elimination and permutation-expansion oracles in :mod:`isored.oracles`.
+``char_det`` runs the one elimination kernel of :mod:`isored.reduction`
+under its least-fill pivot rule first.  Removing a vertex v by the
+reduction's closed form multiplies the determinant by ``w(v,v) - l``, the
+identity ``det(M - l*I) = prod (w_vv - l) * det(R_S - l*I)`` of the paper
+for any order of nonzero pivots, so each cheap pivot becomes one factor
+and a sparse graph costs about linear work in its edges.  The block the
+rule leaves, with its rows cleared of denominators, goes to one dense
+kernel, the fraction-free (Bareiss) elimination, which avoids per-step
+gcds.  This is the one determinant route; the tests cross-check it
+against the fraction-field elimination and permutation-expansion oracles
+in :mod:`isored.oracles`.
 
 Spectra are compared outside an exception set exactly: every root of the
 set's polynomial is divided out of each characteristic numerator, with
@@ -23,6 +30,7 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional
 
 from .ratfun import Poly, RatFun, poly_gcd, poly_lcm, poly_to_string
+from .reduction import _eliminate
 from .roots import poly_roots
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
@@ -75,22 +83,39 @@ def char_matrix(g: WeightedDigraph) -> List[List[RatFun]]:
 
 def char_det(g: WeightedDigraph) -> RatFun:
     """det(M(g) - l*I) as a canonical rational function; the empty graph
-    gives the constant one."""
-    if g.n == 0:
-        return RatFun.one()
-    mat = char_matrix(g)
+    gives the constant one.
+
+    Removing a vertex v with the closed form of ``reduction._eliminate``
+    multiplies the determinant by w(v,v) - l, so the cheap pivots of the
+    least-fill rule become factors and Bareiss takes the block they leave.
+    The factors are multiplied as polynomials and the quotient
+    canonicalized once."""
+    rest, loops = _eliminate(g)
+    lam = Poly.var()
     cleared: List[List[Poly]] = []
-    scale = Poly.one()
-    for row in mat:
+    dens = [w.den for w in loops if w.den.degree > 0]
+    for row in char_matrix(rest):
         common = Poly.one()
         for e in row:
             if e.den.degree > 0:
                 common = poly_lcm(common, e.den)
-        cleared.append(
-            [e.num * common.exact_div(e.den) if e else Poly.zero() for e in row]
-        )
-        scale = scale * common
-    return RatFun(_det_poly_bareiss(cleared), scale)
+        if common.degree > 0:
+            cleared.append([e.num * common.exact_div(e.den) for e in row])
+            dens.append(common)
+        else:
+            cleared.append([e.num for e in row])
+    nums = [w.num - lam * w.den for w in loops]
+    nums.append(_det_poly_bareiss(cleared))
+    return RatFun(_poly_product(nums), _poly_product(dens))
+
+
+def _poly_product(factors: List[Poly]) -> Poly:
+    """The product of ``factors`` by a balanced tree, so that a long run of
+    low-degree factors never multiplies into one growing product."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2 :]
+    return factors[0] if factors else Poly.one()
 
 
 class SpectralPoint:

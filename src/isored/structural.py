@@ -200,12 +200,14 @@ class ForbiddenSet:
         return f"ForbiddenSet({{{vals}}})"
 
     def to_json_dict(self) -> dict:
+        # one string per witness, not one per point: a degree-d witness has d points
+        names = {w: poly_to_string(w) for w in self._roots}
         return {
             "points": [
                 {
                     "re": float(p.value.real),
                     "im": float(p.value.imag),
-                    "witness": poly_to_string(p.witness),
+                    "witness": names[p.witness],
                 }
                 for p in self.points
             ]

@@ -238,6 +238,16 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             ["reduce", "--to", "zz"],
             id="to-unknown-vertex-positive-degree-gap",
         ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "l^1000000000"}]},
+            ["spectrum"],
+            id="power-degree-past-ceiling",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "2^1000000000"}]},
+            ["spectrum"],
+            id="power-bits-past-ceiling",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):

@@ -24,6 +24,7 @@ from isored.oracles import det_leibniz, det_ratfun_matrix, poly_divmod, poly_gcd
 from isored.proptest import cross_product_mismatches, random_gcd_pair, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
+    MAX_POWER,
     GaussianRational,
     NEG_INF,
     ParseError,
@@ -35,6 +36,7 @@ from isored.ratfun import (
     poly_to_string,
     squarefree_decompose,
     _gaussian_ints,
+    _power_size,
 )
 
 L = RatFun.var()
@@ -236,6 +238,33 @@ def test_parse_nesting_up_to_the_depth_bound():
     with pytest.raises(ParseError) as err:
         rf("(" * (MAX_PAREN_DEPTH + 1) + "l" + ")" * (MAX_PAREN_DEPTH + 1))
     assert err.value.position == MAX_PAREN_DEPTH
+
+
+def test_parse_powers_up_to_the_power_ceiling():
+    assert rf(f"l^{MAX_POWER}").num.degree == MAX_POWER
+    assert rf(f"2^{MAX_POWER}") == RatFun.from_int(2**MAX_POWER)
+    assert rf("1^1000000000") == ONE and rf("(-i)^1000000002") == RatFun.from_int(-1)
+    assert rf("0^1000000000") == ZERO
+    for text in (f"l^{MAX_POWER + 1}", f"(1+i)^{MAX_POWER + 1}", f"(l^{MAX_POWER})^2", "(1/3)^3000"):
+        with pytest.raises(ParseError, match="ceiling") as err:
+            rf(text)
+        assert text[err.value.position] == "^"
+
+
+@pytest.mark.parametrize(
+    "base", ["l+1", "3-2i", "(1+i)*l^2-5/7", "(2*l-1)/(l^2+1/3)", "(5/2+i/9)*l+4i", "-l^3+2*l"]
+)
+def test_power_size_bounds_the_degree_and_coefficient_bits_of_a_power(base):
+    value = rf(base)
+    for n in (1, 2, 5, 17):
+        power = value**n
+        bits = max(
+            max(part.numerator.bit_length(), part.denominator.bit_length())
+            for p in (power.num, power.den)
+            for c in p.coeffs
+            for part in (c.re, c.im)
+        )
+        assert max(power.num.degree, power.den.degree, bits) <= n * _power_size(value)
 
 
 def test_format_zero():

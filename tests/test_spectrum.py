@@ -1,5 +1,6 @@
 """Characteristic determinants, spectra, and forbidden-set filtering."""
 
+import importlib
 import json
 import random
 
@@ -12,6 +13,7 @@ from isored import (
     char_matrix,
     charpoly_numerators_equal,
     complete_bipartite_graph,
+    complete_graph,
     det_leibniz,
     det_ratfun_matrix,
     eig_dense,
@@ -86,6 +88,101 @@ def test_char_det_agrees_with_fraction_field_elimination():
     for _ in range(40):
         g = random_graph(rng, max_n=5)
         assert char_det(g) == det_ratfun_matrix(char_matrix(g))
+
+
+def _unit_cycle(n):
+    vs = [f"v{k}" for k in range(n)]
+    return WeightedDigraph(vs, [(vs[k], vs[(k + 1) % n], ONE) for k in range(n)])
+
+
+def _star(n, center_loop=None):
+    leaves = [f"x{k}" for k in range(n)]
+    edges = [("c", x, rf(str(k + 2))) for k, x in enumerate(leaves)]
+    edges += [(x, "c", rf(f"1/(l-{k})")) for k, x in enumerate(leaves)]
+    if center_loop is not None:
+        edges.append(("c", "c", rf(center_loop)))
+    return WeightedDigraph(["c"] + leaves, edges)
+
+
+def _looped_complete(n, loop):
+    vs = [f"v{k}" for k in range(n)]
+    edges = [(u, v, rf(f"{i + 2 * j - 3}")) for i, u in enumerate(vs) for j, v in enumerate(vs) if u != v]
+    return WeightedDigraph(vs, edges + [(v, v, rf(loop)) for v in vs])
+
+
+# Graphs for the sparse-first determinant: pivots whose loop is l (skipped,
+# then taken once a removal changes it, or left to Bareiss), blocks left
+# wholly to Bareiss, and graphs eliminated to nothing.
+SPARSE_FIRST_GRAPHS = {
+    "loop-l-on-a-path-vertex": WeightedDigraph(
+        ["a", "b", "c"],
+        [("a", "b", ONE), ("b", "c", rf("2")), ("c", "a", rf("3i")), ("b", "b", rf("l"))],
+    ),
+    "loop-l-on-an-isolated-vertex": WeightedDigraph(
+        ["a", "b"], [("a", "a", rf("l")), ("b", "b", rf("1/(l+1)"))]
+    ),
+    "every-loop-l": _looped_complete(4, "l"),
+    "every-loop-l-on-a-cycle": WeightedDigraph(
+        ["a", "b", "c"],
+        [("a", "b", ONE), ("b", "c", ONE), ("c", "a", ONE)] + [(v, v, rf("l")) for v in "abc"],
+    ),
+    "isolated-vertices": WeightedDigraph(["a", "b", "c"], [("b", "b", rf("2-i"))]),
+    "star-3": _star(3),
+    "star-5-loop-l-center": _star(5, "l"),
+    "star-6-rational-center": _star(6, "1/(l^2+1)"),
+    "complete-3": complete_graph(3),
+    "complete-5": complete_graph(5),
+    "complete-4-rational-loops": _looped_complete(4, "(l+1)/(l-2)"),
+    **{f"unit-cycle-{n}": _unit_cycle(n) for n in range(3, 26)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_FIRST_GRAPHS))
+def test_sparse_first_char_det_equals_the_oracles(name):
+    g = SPARSE_FIRST_GRAPHS[name]
+    expected = det_ratfun_matrix(char_matrix(g))
+    assert char_det(g) == expected
+    if g.n <= 6:
+        assert det_leibniz(char_matrix(g)) == expected
+
+
+# the package exports the function ``spectrum``, which shadows the module
+spectrum_module = importlib.import_module("isored.spectrum")
+
+
+def _bareiss_sizes(monkeypatch):
+    """Record the size of every block handed to the dense determinant."""
+    sizes = []
+    dense = spectrum_module._det_poly_bareiss
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return dense(rows)
+
+    monkeypatch.setattr(spectrum_module, "_det_poly_bareiss", recording)
+    return sizes
+
+
+def test_every_loop_l_goes_wholly_to_bareiss(monkeypatch):
+    sizes = _bareiss_sizes(monkeypatch)
+    g = SPARSE_FIRST_GRAPHS["every-loop-l"]
+    char_det(g)
+    assert sizes == [g.n]
+
+
+def test_a_pivot_that_becomes_cheap_is_taken(monkeypatch):
+    sizes = _bareiss_sizes(monkeypatch)
+    # the centre costs 6 x 6 at first and nothing once its leaves are gone
+    char_det(SPARSE_FIRST_GRAPHS["star-6-rational-center"])
+    assert sizes == [0]
+
+
+def test_unit_cycle_200_is_eliminated_sparse_first(monkeypatch):
+    sizes = _bareiss_sizes(monkeypatch)
+    n = 200
+    # det(P - l*I) for the cyclic permutation P is (-1)^n (l^n - 1)
+    assert char_det(_unit_cycle(n)) == rf(f"l^{n}-1")
+    assert len(sizes) == 1 and sizes[0] <= 1
 
 
 def test_det_routes_agree_with_permanent_expansion():
