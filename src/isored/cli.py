@@ -352,6 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # one BLAS thread unless the user chose one: more threads can make the
+    # first small eigenvalue problem an order of magnitude slower, and make
+    # a large one no faster; numpy reads these when it loads
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)

@@ -53,16 +53,23 @@ The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
     var      := 'l' | 'lambda'
 
 ``rational`` is lexed greedily, so ``3/2`` is a single rational atom and
-``3/2i`` means (3/2)*i.  The unicode variable name is also accepted on
-input; :func:`format_weight` always emits ``l``.  Parentheses may nest
-at most ``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
-A power may reach at most ``MAX_POWER`` in degree and in a bound on its
-coefficient bit length; the parser checks that before it computes the
-power, and a larger one is a :class:`ParseError`.
+``3/2i`` means (3/2)*i, but an exponent is a ``uint`` and takes no
+``/``: ``l^4/2`` means (l^4)/2.  Digits are the ones ``int`` reads (so
+not superscripts), and a numeral is converted by ``Fraction``; one it
+cannot convert (a zero denominator, or more digits than Python converts)
+is a :class:`ParseError`.  The unicode variable name is also accepted on
+input; :func:`format_weight` always emits ``l``, and what it prints
+parses back to the same weight.  Parentheses may nest at most
+``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.  A
+power may reach at most ``MAX_POWER`` in degree and in a bound on its
+coefficient bit length, and at most ``MAX_POWER_WORK`` in their product;
+the parser checks both before it computes the power, and a larger one is
+a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, List, Sequence
@@ -686,78 +693,57 @@ RF_VAR.den = _P_ONE
 # ----------------------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _term_str(c: GaussianRational, k: int):
-    """Render one monomial; returns (sign, body) with sign '+' or '-'."""
-    var = "" if k == 0 else ("l" if k == 1 else f"l^{k}")
-    if c.re and c.im:
-        inner = f"{_frac_str(c.re)}{'+' if c.im > 0 else '-'}{_frac_str(abs(c.im))}i"
-        return "+", f"({inner})*{var}" if var else f"({inner})"
-    if c.im:
-        sign = "+" if c.im > 0 else "-"
-        body = f"{_frac_str(abs(c.im))}i"
-    else:
-        sign = "+" if c.re > 0 else "-"
-        body = _frac_str(abs(c.re))
-    if var:
-        body = var if body == "1" else f"{body}*{var}"
-    return sign, body
+def _terms(re: Sequence, im: Sequence) -> List[str]:
+    """The nonzero monomials of the polynomial whose ascending-degree
+    coefficients are re + im*i (ints or Fractions), highest degree first,
+    each with its sign except a leading '+'."""
+    out = []
+    for k in range(len(re) - 1, -1, -1):
+        a, b = re[k], im[k]
+        if not a and not b:
+            continue
+        var = "" if k == 0 else ("l" if k == 1 else f"l^{k}")
+        if a and b:
+            sign, body = "+", f"({_frac_str(a)}{'+' if b > 0 else '-'}{_frac_str(abs(b))}i)"
+            if var:
+                body = f"{body}*{var}"
+        else:
+            sign = "+" if (b or a) > 0 else "-"
+            body = f"{_frac_str(abs(b))}i" if b else _frac_str(abs(a))
+            if var:
+                body = var if body == "1" else f"{body}*{var}"
+        out.append(body if sign == "+" and not out else sign + body)
+    return out
 
 
 def poly_to_string(p: Poly) -> str:
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if not c:
-            continue
-        sign, body = _term_str(c, k)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign}{body}")
-    return "".join(parts)
-
-
-def _top_level_ops(s: str) -> set:
-    found = set()
-    depth = 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-*/" and k > 0:
-            found.add(ch)
-    return found
-
-
-def _wrap_num(s: str) -> str:
-    # '/' binds left to right, so a product numerator needs no parens
-    return s if not (_top_level_ops(s) & {"+", "-"}) else f"({s})"
-
-
-def _wrap_den(s: str) -> str:
-    return s if not _top_level_ops(s) else f"({s})"
+    return "".join(_terms([c.re for c in p.coeffs], [c.im for c in p.coeffs])) or "0"
 
 
 def format_weight(r: RatFun) -> str:
     """Normalized ``num/den`` string: num and den cleared together to
     Gaussian integers with content 1.  The den is monic, so its cleared
-    leading coefficient is a positive integer and fixes the sign."""
+    leading coefficient is a positive integer and fixes the sign.  A
+    numerator of two or more terms is parenthesized, and so is a
+    denominator unless it is one integer or one power of ``l``."""
     if r.is_zero():
         return "0"
     re, im, _ = _gaussian_ints(r.num.coeffs + r.den.coeffs)
-    cs = [GaussianRational(x, y) for x, y in zip(re, im)]
     k = len(r.num.coeffs)
-    ns = poly_to_string(Poly(cs[:k]))
-    if cs[k:] == [GR_ONE]:
+    num, den = _terms(re[:k], im[:k]), _terms(re[k:], im[k:])
+    ns, ds = "".join(num), "".join(den)
+    if ds == "1":
         return ns
-    return f"{_wrap_num(ns)}/{_wrap_den(poly_to_string(Poly(cs[k:])))}"
+    if len(num) > 1:
+        ns = f"({ns})"
+    # a one-term den has the positive integer leading coefficient re[-1]
+    if len(den) > 1 or (len(re) > k + 1 and re[-1] != 1):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
 
 
 # ----------------------------------------------------------------------
@@ -765,6 +751,10 @@ def format_weight(r: RatFun) -> str:
 # ----------------------------------------------------------------------
 
 _VAR_NAMES = ("lambda", "l", "λ")
+
+# a numeral: the digits are those int() reads, and the optional group is
+# the '/denominator' of a rational, which an exponent (a uint) never takes
+_NUMERAL = re.compile(r"\d+(?:\.\d+|(/\d+))?")
 
 # the parser recurses through four frames per parenthesis level, so this
 # bound keeps it well inside Python's default limit of 1000 frames
@@ -774,28 +764,32 @@ MAX_PAREN_DEPTH = 200
 # characters such as l^1000000000 would otherwise ask for 10^9 coefficients
 MAX_POWER = 4096
 
+# the most degree times coefficient bits a power may reach: a dense power
+# costs about the cube of its exponent, so (l+1)^512 (about 0.5 s on a
+# 2-CPU x86 machine) is admitted and (l+1)^2000 (12.5 s) is not
+MAX_POWER_WORK = 2**18
 
-def _power_size(r: RatFun) -> int:
-    """What each unit of an exponent adds, at most, to the degree or to the
-    coefficient bit length of a power of ``r``.  For a numerator or
-    denominator p = P * k/m with P over Z[i] (``_gaussian_ints``), the
-    coefficients of P^n are bounded by the 1-norm of P to the n, so
-    ceil(log2) of that norm plus ceil(log2 max(m, k)) bounds the bits."""
+
+def _power_size(r: RatFun):
+    """What each unit of an exponent adds, at most, to the degree and to
+    the coefficient bit length of a power of ``r``, as a pair.  For a
+    numerator or denominator p = P * k/m with P over Z[i]
+    (``_gaussian_ints``), the coefficients of P^n are bounded by the 1-norm
+    of P to the n, so ceil(log2) of that norm plus ceil(log2 max(m, k))
+    bounds the bits."""
     if not r.num.coeffs:
-        return 0  # a power of zero is zero or one
-    size = 0
+        return 0, 0  # a power of zero is zero or one
+    bits = 0
     for p in (r.num, r.den):
         re, im, (m, k) = _gaussian_ints(p.coeffs)
         norm = sum(map(abs, re)) + sum(map(abs, im))
-        bits = (norm - 1).bit_length() + (max(m, k) - 1).bit_length()
-        size = max(size, p.degree, bits)
-    return size
+        bits = max(bits, (norm - 1).bit_length() + (max(m, k) - 1).bit_length())
+    return max(r.num.degree, r.den.degree), bits
 
 
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.idx = 0
@@ -812,35 +806,23 @@ class _Lexer:
                 self.tokens.append((ch, None, i))
                 i += 1
                 continue
-            if ch.isdigit():
-                start = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                    i += 1
-                    fstart = i
-                    while i < n and text[i].isdigit():
-                        i += 1
-                    whole = int(text[start : fstart - 1])
-                    frac = text[fstart:i]
-                    val = Fraction(whole) + Fraction(int(frac), 10 ** len(frac))
-                elif i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
-                    numer = int(text[start:i])
-                    i += 1
-                    dstart = i
-                    while i < n and text[i].isdigit():
-                        i += 1
-                    denom = int(text[dstart:i])
-                    if denom == 0:
-                        raise ParseError("zero denominator in rational", dstart)
-                    val = Fraction(numer, denom)
-                else:
-                    val = Fraction(int(text[start:i]))
-                self.tokens.append(("num", val, start))
+            m = _NUMERAL.match(text, i)
+            if m:
+                end = m.end()
+                if m.group(1) and self.tokens and self.tokens[-1][0] == "^":
+                    end = m.start(1)  # l^4/2 is (l^4)/2
+                try:
+                    val = Fraction(text[i:end])
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator in rational", i) from None
+                except ValueError:
+                    raise ParseError("numeral has too many digits", i) from None
+                self.tokens.append(("num", val, i))
+                i = end
                 continue
-            if ch.isalpha() or ch == "λ":
+            if ch.isalpha():
                 start = i
-                while i < n and (text[i].isalpha() or text[i] == "λ"):
+                while i < n and text[i].isalpha():
                     i += 1
                 word = text[start:i]
                 if word == "i":
@@ -917,9 +899,15 @@ class _Parser:
             if ekind != "num" or eval_.denominator != 1 or eval_ < 0:
                 raise ParseError("exponent must be an unsigned integer", epos)
             n = int(eval_)
-            if n * _power_size(value) > MAX_POWER:
+            degree, bits = _power_size(value)
+            if n * max(degree, bits) > MAX_POWER:
                 raise ParseError(
                     f"the power passes the ceiling of {MAX_POWER} on degree and coefficient bits",
+                    pos,
+                )
+            if n * degree * n * bits > MAX_POWER_WORK:
+                raise ParseError(
+                    f"the power passes the ceiling of {MAX_POWER_WORK} on degree times coefficient bits",
                     pos,
                 )
             value = value ** n

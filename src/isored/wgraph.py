@@ -18,7 +18,9 @@ The JSON wire format (bit-exact round-trip)::
       "edges": [ {"from": "w1", "to": "w2", "weight": "1"}, ... ],
       "undirected": false, "unit_weights": false }
 
-Weight strings use the grammar of :mod:`isored.ratfun`.  With
+Weight strings use the grammar of :mod:`isored.ratfun`, and each weight
+is written by ``format_weight``, whose output ``parse_weight`` reads back
+as the same weight; that is what makes the round trip exact.  With
 ``"unit_weights": true`` an omitted weight means 1; with
 ``"undirected": true`` each listed edge is oriented both ways.
 """

@@ -248,6 +248,26 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             ["spectrum"],
             id="power-bits-past-ceiling",
         ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "(l+1)^2000"}]},
+            ["spectrum"],
+            id="power-work-past-ceiling",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "(l^2+1/3)^1000"}]},
+            ["spectrum"],
+            id="power-work-past-ceiling-rational",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "l²"}]},
+            ["spectrum"],
+            id="superscript-digit",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "9" * 5000}]},
+            ["spectrum"],
+            id="numeral-past-digit-limit",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -371,6 +391,7 @@ def test_usage_error_exits_1(capsys, argv):
         "l^3+10^400",  # a coefficient overflows a double
         "10^300*l^3+l+1",  # mpmath does not converge on the tiny root cluster
         "(l+1)^250",  # Newton steps leave double range (NaN roots at the parent)
+        "l^3000",  # the degree passes the root-location ceiling
     ],
 )
 def test_roots_outside_double_range_exit_2_with_one_error_line(tmp_path, capsys, loop, vertices, argv):
@@ -608,6 +629,30 @@ def test_unwritable_stdout_exits_1_with_one_error_line(tmp_path, redirect):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write to stdout"), proc.stderr
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "1 2 1")])
+def test_cli_runs_one_blas_thread_unless_set(tmp_path, preset, expected):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(WARMUP))
+    script = (
+        "import os, sys, isored.cli\n"
+        "code = isored.cli.main(['spectrum', sys.argv[1], '--out', sys.argv[2]])\n"
+        f"print(*(os.environ.get(v) for v in {THREAD_VARS!r}))\n"
+        "sys.exit(code)\n"
+    )
+    env = {k: v for k, v in src_env().items() if k not in THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**env, **preset},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
 
 
 STARTUP_ROWS = [

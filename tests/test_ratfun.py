@@ -21,10 +21,11 @@ from isored import (
     unique_reduce_to,
 )
 from isored.oracles import det_leibniz, det_ratfun_matrix, poly_divmod, poly_gcd_euclid
-from isored.proptest import cross_product_mismatches, random_gcd_pair, random_related_pair
+from isored.proptest import cross_product_mismatches, random_gcd_pair, random_monomial, random_related_pair
 from isored.ratfun import (
     MAX_PAREN_DEPTH,
     MAX_POWER,
+    MAX_POWER_WORK,
     GaussianRational,
     NEG_INF,
     ParseError,
@@ -251,24 +252,85 @@ def test_parse_powers_up_to_the_power_ceiling():
         assert text[err.value.position] == "^"
 
 
+def test_parse_powers_up_to_the_work_ceiling():
+    for text in (f"l^{MAX_POWER}", f"2^{MAX_POWER}", f"(1+i)^{MAX_POWER}", "10^400", "(l+1)^250"):
+        rf(text)
+    # (2*l)^n has degree n and bit bound n, as (l+1)^n has, but sparse coefficients
+    assert MAX_POWER_WORK == 512 * 512
+    assert rf("(2*l)^512") == RatFun.from_int(2**512) * L**512
+    for text in ("(2*l)^513", "(l+1)^2000", "(l^2+1/3)^1000"):
+        with pytest.raises(ParseError, match="degree times coefficient bits") as err:
+            rf(text)
+        assert text[err.value.position] == "^"
+
+
 @pytest.mark.parametrize(
     "base", ["l+1", "3-2i", "(1+i)*l^2-5/7", "(2*l-1)/(l^2+1/3)", "(5/2+i/9)*l+4i", "-l^3+2*l"]
 )
 def test_power_size_bounds_the_degree_and_coefficient_bits_of_a_power(base):
     value = rf(base)
+    degree, bits = _power_size(value)
     for n in (1, 2, 5, 17):
         power = value**n
-        bits = max(
+        power_bits = max(
             max(part.numerator.bit_length(), part.denominator.bit_length())
             for p in (power.num, power.den)
             for c in p.coeffs
             for part in (c.re, c.im)
         )
-        assert max(power.num.degree, power.den.degree, bits) <= n * _power_size(value)
+        assert max(power.num.degree, power.den.degree) <= n * degree
+        assert power_bits <= n * bits
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("l^4/2", L**4 / RatFun.from_int(2)),
+        ("l^3/2", L**3 / RatFun.from_int(2)),
+        ("2*l^2/3", RatFun.from_int(2) * L**2 / RatFun.from_int(3)),
+        ("i*l^2/3", RatFun.const(GaussianRational(0, 1)) * L**2 / RatFun.from_int(3)),
+    ],
+)
+def test_exponent_takes_no_denominator(text, value):
+    assert rf(text) == value
+    assert rf(format_weight(value)) == value
+
+
+@pytest.mark.parametrize("text", ["l²", "9" * 5000, "1/" + "9" * 5000, "1." + "9" * 5000, "l+1/0"])
+def test_parse_refuses_numerals_int_cannot_read(text):
+    with pytest.raises(ParseError):
+        rf(text)
+
+
+def test_single_term_roundtrip_randomized():
+    rng = random.Random(12)
+    for _ in range(20000):
+        r = random_monomial(rng)
+        assert rf(format_weight(r)) == r, format_weight(r)
 
 
 def test_format_zero():
     assert format_weight(ZERO) == "0"
+
+
+@pytest.mark.parametrize(
+    "text,printed",
+    [
+        ("l^2", "l^2"),  # den 1: no slash
+        ("l^2-1", "l^2-1"),
+        ("-3i*l/2", "-3i*l/2"),  # one-term num, integer den
+        ("(1+2i)*l^2/3", "(1+2i)*l^2/3"),
+        ("(l+1)/2", "(l+1)/2"),  # two-term num
+        ("3/l^2", "3/l^2"),  # den one power of l
+        ("(l-1)/l", "(l-1)/l"),
+        ("(l+1)/(2*l)", "(l+1)/(2*l)"),  # one-term den with a coefficient
+        ("2/(l^2+1)", "2/(l^2+1)"),  # two-term den
+        ("1/(l-1/2)", "2/(2*l-1)"),
+    ],
+)
+def test_format_parenthesizes_from_the_terms(text, printed):
+    assert format_weight(rf(text)) == printed
+    assert rf(printed) == rf(text)
 
 
 def test_format_clears_fractions():
