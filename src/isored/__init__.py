@@ -71,7 +71,6 @@ from .spectrum import (
     compare_outside,
     spectra_agree_outside,
     spectrum,
-    spectrum_minus,
 )
 from .weightset import (
     SUBRING_TESTS,
@@ -107,6 +106,7 @@ _LAZY_NAMES = {
         "poly_gcd_euclid",
         "reduce_by_paths",
         "spectra_equal_up_to",
+        "spectrum_minus",
     ),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY_NAMES.items() for name in names}

@@ -9,8 +9,10 @@ exhaustive path enumerator, the branch product, and the reduction built
 on both by the paper's definition (against ``reduce``), and a dense
 numeric eigensolver for constant-weight graphs, with the
 tolerance-matched spectrum comparison that checks float spectra (its own
-or the numeric normalized Laplacian's) against exact ones.  Size guards
-keep the factorial/exponential costs honest.
+or the numeric normalized Laplacian's) against exact ones by one maximum
+matching of the roots within the tolerance, once ``spectrum_minus`` has
+removed the exception set exactly.  Size guards keep the
+factorial/exponential costs honest.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .ratfun import GR_ZERO, Poly, RatFun
 from .reduction import Branch
-from .spectrum import SpectralList, SpectralPoint, spectrum_minus
+from .spectrum import SpectralList, SpectralPoint, _outside, _spectral_list
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
 
@@ -233,6 +235,17 @@ def eig_dense(g: WeightedDigraph) -> SpectralList:
     return SpectralList(points)
 
 
+def spectrum_minus(sl: SpectralList, forbidden: ForbiddenSet) -> SpectralList:
+    """The entries of ``sl`` outside the forbidden set: all copies of a
+    root in the set go at once.  A list without its charpoly, such as a
+    float eigenvalue list, can only lose an empty set."""
+    if forbidden.poly.degree <= 0:
+        return sl
+    if sl.charpoly is None:
+        raise ValueError("a spectrum without its charpoly cannot be filtered exactly")
+    return _spectral_list(RatFun(_outside(sl, forbidden)))
+
+
 class MatchReport:
     """Result of a tolerance-matched multiset comparison of two spectra."""
 
@@ -255,36 +268,31 @@ class MatchReport:
 
 
 def _pair_values(left: List[complex], right: List[complex], tol: float):
-    """Greedy nearest-neighbor pairing; on failure retry with an optimal
-    assignment so near-ties cannot spoil a valid matching."""
-    pairs = []
-    used = [False] * len(right)
-    unmatched_left = []
-    for z in left:
-        best_j, best_d = None, None
-        for j, w in enumerate(right):
-            if used[j]:
-                continue
-            d = abs(z - w)
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is not None and best_d <= tol:
-            used[best_j] = True
-            pairs.append((z, right[best_j]))
-        else:
-            unmatched_left.append(z)
-    unmatched_right = [w for j, w in enumerate(right) if not used[j]]
-    if not unmatched_left and not unmatched_right:
-        return pairs, [], []
-    if len(left) == len(right) and left:
-        # Hungarian fallback: greedy can strand points when distances tie
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.array([[abs(z - w) for w in right] for z in left])
-        rows, cols = linear_sum_assignment(cost)
-        if all(cost[r, c] <= tol for r, c in zip(rows, cols)):
-            return [(left[r], right[c]) for r, c in zip(rows, cols)], [], []
-    return pairs, unmatched_left, unmatched_right
+    """A maximum matching of ``left`` to ``right`` over the pairs within
+    ``tol``, by augmenting paths (Kuhn's algorithm, on an explicit stack),
+    so every root is paired exactly when some within-``tol`` pairing of
+    all of them exists.  Returns the pairs in the order of ``left`` and
+    the unpaired roots of each side in input order."""
+    near = [[j for j, w in enumerate(right) if abs(z - w) <= tol] for z in left]
+    owner = [None] * len(right)  # right index -> left index
+    for i in range(len(left)):
+        seen = set()
+        path = [(i, iter(near[i]), None)]  # left root, its options, the right root it came by
+        while path:
+            j = next((j for j in path[-1][1] if j not in seen), None)
+            if j is None:
+                path.pop()
+            elif owner[j] is None:
+                for u, _, came in reversed(path):  # each left root on the path moves on
+                    owner[j], j = u, came
+                break
+            else:
+                seen.add(j)
+                path.append((owner[j], iter(near[owner[j]]), j))
+    partner = {u: j for j, u in enumerate(owner) if u is not None}
+    pairs = [(z, right[partner[i]]) for i, z in enumerate(left) if i in partner]
+    unmatched_left = [z for i, z in enumerate(left) if i not in partner]
+    return pairs, unmatched_left, [w for j, w in enumerate(right) if owner[j] is None]
 
 
 def spectra_equal_up_to(

@@ -60,11 +60,20 @@ cannot convert (a zero denominator, or more digits than Python converts)
 is a :class:`ParseError`.  The unicode variable name is also accepted on
 input; :func:`format_weight` always emits ``l``, and what it prints
 parses back to the same weight.  Parentheses may nest at most
-``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.  A
-power may reach at most ``MAX_POWER`` in degree and in a bound on its
-coefficient bit length, and at most ``MAX_POWER_WORK`` in their product;
-the parser checks both before it computes the power, and a larger one is
-a :class:`ParseError`.
+``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
+
+The parser judges the cost of every power, product and quotient before it
+computes it, from the sizes of the values it has: a degree and a bound on
+the coefficient bit length that adds up under products (``_power_size``).
+A power may reach at most ``MAX_POWER`` in degree and in bit bound, and at
+most ``MAX_POWER_WORK`` in their product, and the powers of one weight
+together at most ``MAX_WEIGHT_POWER_WORK`` in that product.  The
+numerator and denominator a product or quotient computes may reach at
+most ``MAX_POWER`` in degree and ``MAX_POWER_WORK`` in degree times bit
+bound, so no product computes a value larger than the largest admitted
+power.  A sum is not judged, and neither is the gcd that cancels common
+factors in a sum, product or quotient.  Past any ceiling the weight is a
+:class:`ParseError` at the operator.
 """
 
 from __future__ import annotations
@@ -769,22 +778,41 @@ MAX_POWER = 4096
 # 2-CPU x86 machine) is admitted and (l+1)^2000 (12.5 s) is not
 MAX_POWER_WORK = 2**18
 
+# the most degree times coefficient bits the powers of one weight may reach
+# together: one largest power, since each takes most of a second and a
+# product is judged only once both its operands are computed
+MAX_WEIGHT_POWER_WORK = MAX_POWER_WORK
+
+
+def _poly_bits(p: Poly) -> int:
+    """A bound on the coefficient bit length of ``p`` that adds up under
+    products: for p = P * k/m with P over Z[i] (``_gaussian_ints``), the
+    coefficients of a product P*Q are bounded by the product of the
+    1-norms, so ceil(log2) of the 1-norm plus ceil(log2 max(m, k))."""
+    re, im, (m, k) = _gaussian_ints(p.coeffs)
+    norm = sum(map(abs, re)) + sum(map(abs, im))
+    return (norm - 1).bit_length() + (max(m, k) - 1).bit_length()
+
 
 def _power_size(r: RatFun):
     """What each unit of an exponent adds, at most, to the degree and to
-    the coefficient bit length of a power of ``r``, as a pair.  For a
-    numerator or denominator p = P * k/m with P over Z[i]
-    (``_gaussian_ints``), the coefficients of P^n are bounded by the 1-norm
-    of P to the n, so ceil(log2) of that norm plus ceil(log2 max(m, k))
-    bounds the bits."""
+    the coefficient bit length of a power of ``r``, as a pair: the larger
+    degree, and the larger ``_poly_bits``, of its numerator and
+    denominator."""
     if not r.num.coeffs:
         return 0, 0  # a power of zero is zero or one
-    bits = 0
-    for p in (r.num, r.den):
-        re, im, (m, k) = _gaussian_ints(p.coeffs)
-        norm = sum(map(abs, re)) + sum(map(abs, im))
-        bits = max(bits, (norm - 1).bit_length() + (max(m, k) - 1).bit_length())
-    return max(r.num.degree, r.den.degree), bits
+    return max(r.num.degree, r.den.degree), max(_poly_bits(r.num), _poly_bits(r.den))
+
+
+def _product_size(a: RatFun, top: Poly, bottom: Poly):
+    """The degree and bit bound (as ``_power_size`` gives them) of the
+    numerator ``a.num * top`` and the denominator ``a.den * bottom`` that a
+    product or quotient of the nonzero ``a`` computes at most."""
+    degree = max(a.num.degree + top.degree, a.den.degree + bottom.degree)
+    if degree <= 0:
+        return degree, 0  # constants: no bit bound is needed
+    bits = max(_poly_bits(a.num) + _poly_bits(top), _poly_bits(a.den) + _poly_bits(bottom))
+    return degree, bits
 
 
 class _Lexer:
@@ -848,6 +876,7 @@ class _Parser:
     def __init__(self, text: str):
         self.lex = _Lexer(text)
         self.depth = 0
+        self.power_work = 0  # what the powers computed so far charged
 
     def parse(self) -> RatFun:
         value = self.expr()
@@ -873,17 +902,24 @@ class _Parser:
         value = self.factor()
         while True:
             kind, _, pos = self.lex.peek()
-            if kind == "*":
-                self.lex.next()
-                value = value * self.factor()
-            elif kind == "/":
-                self.lex.next()
-                rhs = self.factor()
-                if rhs.is_zero():
-                    raise ParseError("division by zero", pos)
-                value = value / rhs
-            else:
+            if kind not in ("*", "/"):
                 return value
+            self.lex.next()
+            rhs = self.factor()
+            if kind == "/" and rhs.is_zero():
+                raise ParseError("division by zero", pos)
+            if value and rhs:
+                top, bottom = (rhs.num, rhs.den) if kind == "*" else (rhs.den, rhs.num)
+                degree, bits = _product_size(value, top, bottom)
+                what = "product" if kind == "*" else "quotient"
+                if degree > MAX_POWER:
+                    raise ParseError(f"the {what} passes the ceiling of {MAX_POWER} on degree", pos)
+                if degree * bits > MAX_POWER_WORK:
+                    raise ParseError(
+                        f"the {what} passes the ceiling of {MAX_POWER_WORK} on degree times coefficient bits",
+                        pos,
+                    )
+            value = value * rhs if kind == "*" else value / rhs
 
     def factor(self) -> RatFun:
         kind, _, _ = self.lex.peek()
@@ -905,9 +941,17 @@ class _Parser:
                     f"the power passes the ceiling of {MAX_POWER} on degree and coefficient bits",
                     pos,
                 )
-            if n * degree * n * bits > MAX_POWER_WORK:
+            work = n * degree * n * bits
+            if work > MAX_POWER_WORK:
                 raise ParseError(
                     f"the power passes the ceiling of {MAX_POWER_WORK} on degree times coefficient bits",
+                    pos,
+                )
+            self.power_work += work
+            if self.power_work > MAX_WEIGHT_POWER_WORK:
+                raise ParseError(
+                    f"the powers pass the ceiling of {MAX_WEIGHT_POWER_WORK} on degree times "
+                    "coefficient bits in one weight",
                     pos,
                 )
             value = value ** n

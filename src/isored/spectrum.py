@@ -215,17 +215,6 @@ def _outside(sl: SpectralList, forbidden: ForbiddenSet) -> Poly:
         num = num.exact_div(common)
 
 
-def spectrum_minus(sl: SpectralList, forbidden: ForbiddenSet) -> SpectralList:
-    """The entries of ``sl`` outside the forbidden set: all copies of a
-    root in the set go at once.  A list without its charpoly, such as a
-    float eigenvalue list, can only lose an empty set."""
-    if forbidden.poly.degree <= 0:
-        return sl
-    if sl.charpoly is None:
-        raise ValueError("a spectrum without its charpoly cannot be filtered exactly")
-    return _spectral_list(RatFun(_outside(sl, forbidden)))
-
-
 class OutsideComparison(NamedTuple):
     """Two spectra compared exactly outside an exception set."""
 

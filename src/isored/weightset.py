@@ -33,15 +33,11 @@ from .wgraph import WeightedDigraph, merge_parallel
 SubringTest = Callable[[RatFun], bool]
 
 
-def _is_constant_real_int(w: RatFun) -> bool:
+def subring_integers(w: RatFun) -> bool:
     if not w.is_constant():
         return False
     c = w.constant_value()
     return not c.im and c.re.denominator == 1
-
-
-def subring_integers(w: RatFun) -> bool:
-    return _is_constant_real_int(w)
 
 
 def subring_gaussian_integers(w: RatFun) -> bool:
@@ -57,7 +53,7 @@ def subring_constants(w: RatFun) -> bool:
 
 def subring_unit_sums(w: RatFun) -> bool:
     """Sums of ones: the nonnegative integers."""
-    return _is_constant_real_int(w) and w.constant_value().re >= 0
+    return subring_integers(w) and w.constant_value().re >= 0
 
 
 SUBRING_TESTS: Dict[str, SubringTest] = {

@@ -268,6 +268,26 @@ GOOD_EDGE = {"from": "a", "to": "b", "weight": "1"}
             ["spectrum"],
             id="numeral-past-digit-limit",
         ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "(l+1)^512*(l+1)^512"}]},
+            ["spectrum"],
+            id="product-of-admitted-powers",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "*".join(["(l+1)^512"] * 4)}]},
+            ["spectrum"],
+            id="fourfold-product-of-admitted-powers",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "+".join(["(l+1)^512"] * 4)}]},
+            ["spectrum"],
+            id="fourfold-sum-of-admitted-powers",
+        ),
+        pytest.param(
+            {"vertices": ["a"], "edges": [{"from": "a", "to": "a", "weight": "*".join(["l^4096"] * 100)}]},
+            ["spectrum"],
+            id="hundredfold-product-of-admitted-powers",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -682,6 +702,20 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, graph, needed):
     loaded = set(proc.stderr.split())
     assert needed <= loaded
     assert not (NOT_AT_START - needed) & loaded
+
+
+def test_float_spectrum_matching_runs_without_scipy():
+    script = (
+        "import sys\n"
+        "from isored import ForbiddenSet, spectra_equal_up_to\n"
+        "from isored.spectrum import SpectralList, SpectralPoint\n"
+        "def sl(vs): return SpectralList([SpectralPoint(z, 1, None) for z in vs])\n"
+        "assert spectra_equal_up_to(sl([0, 1]), sl([0.45, -0.6]), ForbiddenSet.empty(), 0.7).ok\n"
+        "assert not spectra_equal_up_to(sl([0, 3, 5]), sl([0, 7]), ForbiddenSet.empty(), 1e-9).ok\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 # every name ``isored`` bound when all its modules loaded with the package

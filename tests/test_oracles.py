@@ -1,6 +1,7 @@
 """The brute-force oracles and their agreement with the real code paths."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,7 @@ from isored import (
     spectrum,
 )
 from isored.proptest import random_graph, random_ratfun, random_structural_set
+from isored.spectrum import SpectralList, SpectralPoint
 from isored.structural import ForbiddenSet, forbidden_set
 
 from sample_graphs import branch_pair_expanded
@@ -130,3 +132,53 @@ def test_dense_solver_matches_exact_spectrum_randomized():
         assert spectra_equal_up_to(
             spectrum(g), eig_dense(g), ForbiddenSet.empty(), 1e-6
         ).ok
+
+
+def float_spectrum(values):
+    """A float root list, one point per value, as ``eig_dense`` gives one."""
+    return SpectralList([SpectralPoint(z, 1, None) for z in values])
+
+
+def test_matching_pairs_a_near_tie_that_nearest_first_strands():
+    # nearest-first gives 0.45 to 0, which leaves 1 with only -0.6, 1.6 away;
+    # within 0.7 the pairs 0 ~ -0.6 and 1 ~ 0.45 take every root
+    report = spectra_equal_up_to(
+        float_spectrum([0, 1]), float_spectrum([0.45, -0.6]), ForbiddenSet.empty(), 0.7
+    )
+    assert report.ok
+    assert sorted(report.pairs, key=lambda p: p[0].real) == [(0, -0.6), (1, 0.45)]
+    assert report.unmatched_left == [] and report.unmatched_right == []
+
+
+def test_matching_reports_a_three_against_two_mismatch_in_input_order():
+    report = spectra_equal_up_to(
+        float_spectrum([0, 3, 5]), float_spectrum([0, 7]), ForbiddenSet.empty(), 1e-9
+    )
+    assert not report.ok
+    assert report.pairs == [(0, 0)]
+    assert report.unmatched_left == [3, 5]
+    assert report.unmatched_right == [7]
+    assert report.lines() == [
+        "spectra differ (1 paired roots)",
+        "  only left:  3+0j",
+        "  only left:  5+0j",
+        "  only right: 7+0j",
+    ]
+
+
+def test_matching_is_ok_exactly_when_some_pairing_is_within_tolerance():
+    rng = random.Random(1303)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        left = [complex(rng.randint(-3, 3), rng.randint(-1, 1)) / 2 for _ in range(n)]
+        right = [z + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for z in left]
+        rng.shuffle(right)
+        tol = rng.choice([0.3, 0.8, 1.2])
+        report = spectra_equal_up_to(
+            float_spectrum(left), float_spectrum(right), ForbiddenSet.empty(), tol
+        )
+        lv, rv = float_spectrum(left).values(), float_spectrum(right).values()
+        exists = any(all(abs(z - rv[j]) <= tol for z, j in zip(lv, p)) for p in permutations(range(n)))
+        assert report.ok == exists
+        assert len(report.pairs) + len(report.unmatched_left) == n
+        assert all(abs(z - w) <= tol for z, w in report.pairs)

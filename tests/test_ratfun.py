@@ -26,6 +26,7 @@ from isored.ratfun import (
     MAX_PAREN_DEPTH,
     MAX_POWER,
     MAX_POWER_WORK,
+    MAX_WEIGHT_POWER_WORK,
     GaussianRational,
     NEG_INF,
     ParseError,
@@ -262,6 +263,46 @@ def test_parse_powers_up_to_the_work_ceiling():
         with pytest.raises(ParseError, match="degree times coefficient bits") as err:
             rf(text)
         assert text[err.value.position] == "^"
+
+
+def test_parse_products_and_quotients_up_to_the_power_ceilings():
+    # each product is judged from its operands before it is computed, by the
+    # numerator and denominator it would build
+    assert rf("(l+1)^256*(l+1)^256") == rf("(l+1)^512")
+    assert rf(f"l^{MAX_POWER - 1}*l") == L**MAX_POWER
+    assert rf(f"1/l^{MAX_POWER - 1}/l") == L ** (-MAX_POWER)
+    assert rf(f"l^{MAX_POWER}/l^{MAX_POWER}") == ONE
+    assert rf(f"2^{MAX_POWER}*2^{MAX_POWER}*{'9' * 1000}") == RatFun.from_int(4**MAX_POWER * int("9" * 1000))
+    rows = [
+        ("(l+1)^256*(l+1)^257", "*", "degree times coefficient bits"),
+        ("(2*l)^256*(2*l)^257", "*", "degree times coefficient bits"),
+        ("(l+1)^256*(l+1)^256*(l+1)", "*", "degree times coefficient bits"),
+        ("(l+1)^256*(l+1)^256/(1/(l+1))", "/", "degree times coefficient bits"),
+        (f"l^{MAX_POWER}*l", "*", "degree"),
+        (f"1/l^{MAX_POWER}/l", "/", "degree"),
+        (f"1/(l^{MAX_POWER}-1)/(l+1)", "/", "degree"),
+    ]
+    for text, op, reason in rows:
+        with pytest.raises(ParseError, match=f"the (product|quotient) passes the ceiling of .* on {reason} \\(at") as err:
+            rf(text)
+        assert text[err.value.position] == op, text
+
+
+def test_the_powers_of_one_weight_share_one_work_ceiling():
+    assert MAX_WEIGHT_POWER_WORK == MAX_POWER_WORK
+    assert rf("(l+1)^256+(l-1)^256+(l+i)^256+(l-i)^256").num.degree == 256
+    for text in ("(l+1)^512+(l+1)^512+(l+1)^512+(l+1)^512", "(l+1)^256+(l-1)^256+(l+i)^256+(l-i)^256+l^2+(l+2)^2"):
+        with pytest.raises(ParseError, match="the powers pass the ceiling") as err:
+            rf(text)
+        assert text[err.value.position] == "^"
+
+
+@pytest.mark.parametrize(
+    "text", ["(l+1)^512", "(2*l)^512", f"(1+i)^{MAX_POWER}", "(l+1)^256*(l-2)^100", "(3*l-2i)^100/(l^2+1/7)^50"]
+)
+def test_printed_admitted_values_read_back(text):
+    value = rf(text)
+    assert rf(format_weight(value)) == value
 
 
 @pytest.mark.parametrize(

@@ -24,12 +24,12 @@ from isored import (
     spectra_agree_outside,
     spectra_equal_up_to,
     spectrum,
-    spectrum_minus,
 )
 from isored import proptest
 from isored.proptest import random_graph, random_ratfun
 from isored.scc import scc_partition
 from isored.structural import ForbiddenPoint, ForbiddenSet
+from isored.oracles import spectrum_minus
 from isored.roots import poly_roots
 
 from sample_graphs import (
