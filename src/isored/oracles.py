@@ -24,7 +24,7 @@ import numpy as np
 
 from .ratfun import GR_ZERO, Poly, RatFun
 from .reduction import Branch
-from .spectrum import SpectralList, SpectralPoint, _outside, _spectral_list
+from .spectrum import SpectralList, SpectralPoint, numerator_outside, spectral_list
 from .structural import ForbiddenSet
 from .wgraph import WeightedDigraph
 
@@ -243,7 +243,7 @@ def spectrum_minus(sl: SpectralList, forbidden: ForbiddenSet) -> SpectralList:
         return sl
     if sl.charpoly is None:
         raise ValueError("a spectrum without its charpoly cannot be filtered exactly")
-    return _spectral_list(RatFun(_outside(sl, forbidden)))
+    return spectral_list(RatFun(numerator_outside(sl, forbidden)))
 
 
 class MatchReport:

@@ -63,15 +63,17 @@ parses back to the same weight.  Parentheses may nest at most
 ``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
 
 The parser judges the cost of every power, product and quotient before it
-computes it, from the sizes of the values it has: a degree and a bound on
-the coefficient bit length that adds up under products (``_power_size``).
-A power may reach at most ``MAX_POWER`` in degree and in bit bound, and at
-most ``MAX_POWER_WORK`` in their product, and the powers of one weight
-together at most ``MAX_WEIGHT_POWER_WORK`` in that product.  The
-numerator and denominator a product or quotient computes may reach at
-most ``MAX_POWER`` in degree and ``MAX_POWER_WORK`` in degree times bit
-bound, so no product computes a value larger than the largest admitted
-power.  A sum is not judged, and neither is the gcd that cancels common
+computes it, from the values it has.  A power is judged by a degree and a
+bound on the coefficient bit length that adds up under products
+(``_power_size``): it may reach at most ``MAX_POWER`` in degree and in bit
+bound, and the powers of one weight together at most ``MAX_POWER_WORK``
+in their product.  A product or quotient is judged by what its two
+polynomial multiplies cost (``_multiply_work``): the numerator and
+denominator it builds may reach at most ``MAX_POWER`` in degree, and the
+coefficient products it computes at most ``MAX_PRODUCT_WORK``, so a
+constant or a monomial times a long polynomial, the form
+:func:`format_weight` prints, stays cheap, while dense times dense is
+refused.  A sum is not judged, and neither is the gcd that cancels common
 factors in a sum, product or quotient.  Past any ceiling the weight is a
 :class:`ParseError` at the operator.
 """
@@ -773,15 +775,18 @@ MAX_PAREN_DEPTH = 200
 # characters such as l^1000000000 would otherwise ask for 10^9 coefficients
 MAX_POWER = 4096
 
-# the most degree times coefficient bits a power may reach: a dense power
-# costs about the cube of its exponent, so (l+1)^512 (about 0.5 s on a
-# 2-CPU x86 machine) is admitted and (l+1)^2000 (12.5 s) is not
+# the most degree times coefficient bits the powers of one weight may reach
+# together: a dense power costs about the cube of its exponent, so
+# (l+1)^512 (about 0.5 s on a 2-CPU x86 machine) is admitted, and
+# (l+1)^2000 (12.5 s) and (l+1)^512+(l+1)^512 are not
 MAX_POWER_WORK = 2**18
 
-# the most degree times coefficient bits the powers of one weight may reach
-# together: one largest power, since each takes most of a second and a
-# product is judged only once both its operands are computed
-MAX_WEIGHT_POWER_WORK = MAX_POWER_WORK
+# the most coefficient products a product or quotient may compute, each
+# counted once more for every 2048 bits of its operands' bit bounds: the
+# last squaring of (l+1)^512, (l+1)^256 times itself (66,049, about 0.4 s
+# on a 2-CPU x86 machine), is admitted, and (l+1)^512 times itself
+# (263,169, 1.7 s) is not
+MAX_PRODUCT_WORK = 2**17
 
 
 def _poly_bits(p: Poly) -> int:
@@ -804,15 +809,13 @@ def _power_size(r: RatFun):
     return max(r.num.degree, r.den.degree), max(_poly_bits(r.num), _poly_bits(r.den))
 
 
-def _product_size(a: RatFun, top: Poly, bottom: Poly):
-    """The degree and bit bound (as ``_power_size`` gives them) of the
-    numerator ``a.num * top`` and the denominator ``a.den * bottom`` that a
-    product or quotient of the nonzero ``a`` computes at most."""
-    degree = max(a.num.degree + top.degree, a.den.degree + bottom.degree)
-    if degree <= 0:
-        return degree, 0  # constants: no bit bound is needed
-    bits = max(_poly_bits(a.num) + _poly_bits(top), _poly_bits(a.den) + _poly_bits(bottom))
-    return degree, bits
+def _multiply_work(p: Poly, q: Poly) -> int:
+    """What the schoolbook ``p * q`` costs, in coefficient products: one
+    for each pair of nonzero coefficients, and one more for each 2048 bits
+    of the two ``_poly_bits`` together, past which a big-int product
+    outweighs the ``Fraction`` arithmetic around it."""
+    pairs = sum(1 for c in p.coeffs if c) * sum(1 for c in q.coeffs if c)
+    return pairs * (1 + (_poly_bits(p) + _poly_bits(q)) // 2048)
 
 
 class _Lexer:
@@ -910,13 +913,12 @@ class _Parser:
                 raise ParseError("division by zero", pos)
             if value and rhs:
                 top, bottom = (rhs.num, rhs.den) if kind == "*" else (rhs.den, rhs.num)
-                degree, bits = _product_size(value, top, bottom)
                 what = "product" if kind == "*" else "quotient"
-                if degree > MAX_POWER:
+                if max(value.num.degree + top.degree, value.den.degree + bottom.degree) > MAX_POWER:
                     raise ParseError(f"the {what} passes the ceiling of {MAX_POWER} on degree", pos)
-                if degree * bits > MAX_POWER_WORK:
+                if _multiply_work(value.num, top) + _multiply_work(value.den, bottom) > MAX_PRODUCT_WORK:
                     raise ParseError(
-                        f"the {what} passes the ceiling of {MAX_POWER_WORK} on degree times coefficient bits",
+                        f"the {what} passes the ceiling of {MAX_PRODUCT_WORK} on coefficient products",
                         pos,
                     )
             value = value * rhs if kind == "*" else value / rhs
@@ -941,17 +943,10 @@ class _Parser:
                     f"the power passes the ceiling of {MAX_POWER} on degree and coefficient bits",
                     pos,
                 )
-            work = n * degree * n * bits
-            if work > MAX_POWER_WORK:
+            self.power_work += n * degree * n * bits
+            if self.power_work > MAX_POWER_WORK:
                 raise ParseError(
                     f"the power passes the ceiling of {MAX_POWER_WORK} on degree times coefficient bits",
-                    pos,
-                )
-            self.power_work += work
-            if self.power_work > MAX_WEIGHT_POWER_WORK:
-                raise ParseError(
-                    f"the powers pass the ceiling of {MAX_WEIGHT_POWER_WORK} on degree times "
-                    "coefficient bits in one weight",
                     pos,
                 )
             value = value ** n

@@ -22,7 +22,9 @@ in :mod:`isored.oracles`.
 Spectra are compared outside an exception set exactly: every root of the
 set's polynomial is divided out of each characteristic numerator, with
 all its multiplicity, and the spectra agree when the rests are the same
-monic polynomial.  Root values only report; they never decide.
+monic polynomial (``numerator_outside`` strips one numerator, and
+``spectral_list`` locates the roots of what is left).  Root values only
+report; they never decide.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class SpectralList:
         return data
 
 
-def _spectral_list(charpoly: RatFun) -> SpectralList:
+def spectral_list(charpoly: RatFun) -> SpectralList:
     """The roots, with exact multiplicities, of the numerator of ``charpoly``;
     an identically zero determinant, which every number solves, is refused."""
     if charpoly.is_zero():
@@ -201,10 +203,10 @@ def _spectral_list(charpoly: RatFun) -> SpectralList:
 
 def spectrum(g: WeightedDigraph) -> SpectralList:
     """Roots, with exact multiplicities, of the numerator of char_det."""
-    return _spectral_list(char_det(g))
+    return spectral_list(char_det(g))
 
 
-def _outside(sl: SpectralList, forbidden: ForbiddenSet) -> Poly:
+def numerator_outside(sl: SpectralList, forbidden: ForbiddenSet) -> Poly:
     """The monic characteristic numerator of ``sl`` with every root of
     ``forbidden.poly`` divided out, all multiplicities included."""
     num = sl.charpoly.num.monic()
@@ -231,13 +233,13 @@ def compare_outside(
     """Strip every root of the forbidden set from both characteristic
     numerators and compare the rests; on a mismatch, the roots found on
     one side only are those of the rests over their gcd."""
-    a, b = _outside(left, forbidden), _outside(right, forbidden)
+    a, b = numerator_outside(left, forbidden), numerator_outside(right, forbidden)
     touched = a.degree < left.charpoly.num.degree or b.degree < right.charpoly.num.degree
     if a == b:
         return OutsideComparison(True, touched, a.degree, [], [])
     common = poly_gcd(a, b)
-    only_left = _spectral_list(RatFun(a.exact_div(common))).values()
-    only_right = _spectral_list(RatFun(b.exact_div(common))).values()
+    only_left = spectral_list(RatFun(a.exact_div(common))).values()
+    only_right = spectral_list(RatFun(b.exact_div(common))).values()
     return OutsideComparison(False, touched, common.degree, only_left, only_right)
 
 

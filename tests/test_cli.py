@@ -57,6 +57,21 @@ def test_reduce_with_set(tmp_path, capsys):
     assert points == pytest.approx([0.0, 1.0])
 
 
+def test_reduce_output_with_a_long_weight_verifies_as_expected(tmp_path, capsys):
+    # (l+1)^512 * (l+1) / l prints as a long constant-times-monomial sum over
+    # l, and verify --expect reads that output back
+    edges = [{"from": "a", "to": "c", "weight": "(l+1)^512"}, {"from": "c", "to": "b", "weight": "l+1"}]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": edges}))
+    path = str(path)
+    code, out = run_cli(capsys, "reduce", path, "--set", "a,b")
+    assert code == 0
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps(json.loads(out)["graph"]))
+    code, out = run_cli(capsys, "verify", path, "--set", "a,b", "--expect", str(claim))
+    assert code == 0, out
+
+
 def test_reduce_over_everything_echoes_graph(tmp_path, capsys):
     g = branch_pair_compact()
     path = write_graph(tmp_path, "g.json", g)

@@ -26,7 +26,7 @@ from isored.ratfun import (
     MAX_PAREN_DEPTH,
     MAX_POWER,
     MAX_POWER_WORK,
-    MAX_WEIGHT_POWER_WORK,
+    MAX_PRODUCT_WORK,
     GaussianRational,
     NEG_INF,
     ParseError,
@@ -265,19 +265,27 @@ def test_parse_powers_up_to_the_work_ceiling():
         assert text[err.value.position] == "^"
 
 
-def test_parse_products_and_quotients_up_to_the_power_ceilings():
-    # each product is judged from its operands before it is computed, by the
-    # numerator and denominator it would build
+def test_parse_products_and_quotients_up_to_their_ceilings():
+    # each product is judged before it is computed, by the degree it builds
+    # and by the coefficient products its two multiplies compute, not by the
+    # size of the result: a constant times a long polynomial is cheap
     assert rf("(l+1)^256*(l+1)^256") == rf("(l+1)^512")
+    assert rf("2*(l+1)^512") == RatFun.from_int(2) * rf("(l+1)^512")
+    assert rf("(l+1)^256*(l+1)^256*(l+1)") == rf("(l+1)^256*(l+1)^257")
+    assert rf("(2*l)^256*(2*l)^257") == RatFun.from_int(2**513) * L**513
     assert rf(f"l^{MAX_POWER - 1}*l") == L**MAX_POWER
     assert rf(f"1/l^{MAX_POWER - 1}/l") == L ** (-MAX_POWER)
     assert rf(f"l^{MAX_POWER}/l^{MAX_POWER}") == ONE
     assert rf(f"2^{MAX_POWER}*2^{MAX_POWER}*{'9' * 1000}") == RatFun.from_int(4**MAX_POWER * int("9" * 1000))
+    # 64 times 2048 nonzero coefficients (bit bounds 6 and 11) reach the
+    # ceiling exactly, so 64 times 2049 passes it
+    assert MAX_PRODUCT_WORK == 64 * 2048
     rows = [
-        ("(l+1)^256*(l+1)^257", "*", "degree times coefficient bits"),
-        ("(2*l)^256*(2*l)^257", "*", "degree times coefficient bits"),
-        ("(l+1)^256*(l+1)^256*(l+1)", "*", "degree times coefficient bits"),
-        ("(l+1)^256*(l+1)^256/(1/(l+1))", "/", "degree times coefficient bits"),
+        ("((l^64-1)/(l-1))*((l^2049-1)/(l-1))", "*", "coefficient products"),
+        ("(l+1)^256*(l+1)^256*(l+1)^256", "*", "coefficient products"),
+        ("(l+1)^256*(l+1)^256/(1/(l+1)^256)", "/", "coefficient products"),
+        # 201^2 coefficient products, each counted 5 times for its 2*4297 bits
+        ("(l+1)^200*2^4096*((l+1)^200*2^4096)", "*", "coefficient products"),
         (f"l^{MAX_POWER}*l", "*", "degree"),
         (f"1/l^{MAX_POWER}/l", "/", "degree"),
         (f"1/(l^{MAX_POWER}-1)/(l+1)", "/", "degree"),
@@ -289,16 +297,25 @@ def test_parse_products_and_quotients_up_to_the_power_ceilings():
 
 
 def test_the_powers_of_one_weight_share_one_work_ceiling():
-    assert MAX_WEIGHT_POWER_WORK == MAX_POWER_WORK
     assert rf("(l+1)^256+(l-1)^256+(l+i)^256+(l-i)^256").num.degree == 256
     for text in ("(l+1)^512+(l+1)^512+(l+1)^512+(l+1)^512", "(l+1)^256+(l-1)^256+(l+i)^256+(l-i)^256+l^2+(l+2)^2"):
-        with pytest.raises(ParseError, match="the powers pass the ceiling") as err:
+        with pytest.raises(ParseError, match="the power passes the ceiling of .* on degree times coefficient bits") as err:
             rf(text)
         assert text[err.value.position] == "^"
 
 
 @pytest.mark.parametrize(
-    "text", ["(l+1)^512", "(2*l)^512", f"(1+i)^{MAX_POWER}", "(l+1)^256*(l-2)^100", "(3*l-2i)^100/(l^2+1/7)^50"]
+    "text",
+    [
+        "(l+1)^512",
+        "(2*l)^512",
+        f"(1+i)^{MAX_POWER}",
+        "(l+1)^256*(l-2)^100",
+        "(3*l-2i)^30/(l^2+1/7)^15",
+        # degree times bit bound 513 * 513 > 2^18: prints as a sum of
+        # constant-times-monomial terms over l, each product cheap
+        "(l+1)^512*(l+1)/l",
+    ],
 )
 def test_printed_admitted_values_read_back(text):
     value = rf(text)
