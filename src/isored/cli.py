@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ratfun import ParseError, parse_weight
 from .reduction import expand, loop_bisect, reduce, sequential_reduce, unique_reduce_to
@@ -278,76 +278,73 @@ def _case_count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="isored",
-        description="Isospectral reductions of weighted digraphs",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+_GRAPH = ("graph", {})
 
-    def add(name, fn, help_text):
+# name: (handler, help, arguments); every command also takes --out
+COMMANDS = {
+    "reduce": (cmd_reduce, "reduce a graph over a structural set", (
+        _GRAPH,
+        ("--set", dict(help="comma-separated structural set")),
+        ("--seq", dict(help="JSON file with a list of vertex lists")),
+        ("--to", dict(help="target vertex set for a unique reduction")),
+    )),
+    "spectrum": (cmd_spectrum, "exact spectrum of a graph", (_GRAPH,)),
+    "verify": (cmd_verify, "check spectrum preservation end to end", (
+        _GRAPH,
+        ("--set", dict(required=True)),
+        ("--expect", dict(help="claimed reduced graph to check instead of the computed one")),
+    )),
+    "bas": (cmd_bas, "basic structural set", (_GRAPH,)),
+    "scc": (cmd_scc, "strongly connected components", (
+        _GRAPH,
+        ("--filter", dict(action="store_true", help="emit the intra-component graph")),
+    )),
+    "expand": (cmd_expand, "branch expansion over a structural set", (
+        _GRAPH,
+        ("--set", dict(required=True)),
+    )),
+    "bisect": (cmd_bisect, "loop-bisect one edge", (
+        _GRAPH,
+        ("--edge", dict(required=True, help="'from,to'")),
+        ("--w-in", dict(required=True, help="weight into the new vertex")),
+        ("--w-loop", dict(required=True, help="loop weight of the new vertex")),
+        ("--w-out", dict(required=True, help="weight out of the new vertex")),
+        ("--vertex", dict(help="name for the new vertex")),
+    )),
+    "laplacian": (cmd_laplacian, "Laplacian-derived graphs", (
+        _GRAPH,
+        ("--laplacian", dict(choices=["comb", "norm", "norm-exact", "gen"], default="comb",
+                             help="which Laplacian form to build")),
+    )),
+    "weightset": (cmd_weightset, "vertex reduction over a weight subring", (
+        _GRAPH,
+        ("--subring", dict(choices=sorted(SUBRING_TESTS), default="int")),
+    )),
+    "isocheck": (cmd_isocheck, "weighted isomorphism check", (_GRAPH, ("other", {}))),
+    "proptest": (cmd_proptest, "run the randomized invariant suites", (
+        ("--cases", dict(type=_case_count, default=60)),
+        ("--seed", dict(type=int, default=0)),
+    )),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subparser of the command that
+    ``argv`` starts with, or all of them when it starts with no command
+    name, so that top-level help and usage errors list every command."""
+    p = _Parser(prog="isored", description="Isospectral reductions of weighted digraphs")
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    # the top-level usage line, which reports an unknown option after a
+    # command, lists every command; argparse writes it when all are built
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, arguments = COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out", help="write output to this file")
-        return sp
-
-    sp = add("reduce", cmd_reduce, "reduce a graph over a structural set")
-    sp.add_argument("graph")
-    sp.add_argument("--set", help="comma-separated structural set")
-    sp.add_argument("--seq", help="JSON file with a list of vertex lists")
-    sp.add_argument("--to", help="target vertex set for a unique reduction")
-
-    sp = add("spectrum", cmd_spectrum, "exact spectrum of a graph")
-    sp.add_argument("graph")
-
-    sp = add("verify", cmd_verify, "check spectrum preservation end to end")
-    sp.add_argument("graph")
-    sp.add_argument("--set", required=True)
-    sp.add_argument(
-        "--expect",
-        help="claimed reduced graph to check instead of the computed one",
-    )
-
-    sp = add("bas", cmd_bas, "basic structural set")
-    sp.add_argument("graph")
-
-    sp = add("scc", cmd_scc, "strongly connected components")
-    sp.add_argument("graph")
-    sp.add_argument("--filter", action="store_true", help="emit the intra-component graph")
-
-    sp = add("expand", cmd_expand, "branch expansion over a structural set")
-    sp.add_argument("graph")
-    sp.add_argument("--set", required=True)
-
-    sp = add("bisect", cmd_bisect, "loop-bisect one edge")
-    sp.add_argument("graph")
-    sp.add_argument("--edge", required=True, help="'from,to'")
-    sp.add_argument("--w-in", required=True, help="weight into the new vertex")
-    sp.add_argument("--w-loop", required=True, help="loop weight of the new vertex")
-    sp.add_argument("--w-out", required=True, help="weight out of the new vertex")
-    sp.add_argument("--vertex", help="name for the new vertex")
-
-    sp = add("laplacian", cmd_laplacian, "Laplacian-derived graphs")
-    sp.add_argument("graph")
-    sp.add_argument(
-        "--laplacian",
-        choices=["comb", "norm", "norm-exact", "gen"],
-        default="comb",
-        help="which Laplacian form to build",
-    )
-
-    sp = add("weightset", cmd_weightset, "vertex reduction over a weight subring")
-    sp.add_argument("graph")
-    sp.add_argument("--subring", choices=sorted(SUBRING_TESTS), default="int")
-
-    sp = add("isocheck", cmd_isocheck, "weighted isomorphism check")
-    sp.add_argument("graph")
-    sp.add_argument("other")
-
-    sp = add("proptest", cmd_proptest, "run the randomized invariant suites")
-    sp.add_argument("--cases", type=_case_count, default=60)
-    sp.add_argument("--seed", type=int, default=0)
-
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
     return p
 
 
@@ -357,7 +354,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # a large one no faster; numpy reads these when it loads
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code, text = args.handler(args)
         _emit(text, args.out)

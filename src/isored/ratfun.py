@@ -59,8 +59,10 @@ not superscripts), and a numeral is converted by ``Fraction``; one it
 cannot convert (a zero denominator, or more digits than Python converts)
 is a :class:`ParseError`.  The unicode variable name is also accepted on
 input; :func:`format_weight` always emits ``l``, and what it prints
-parses back to the same weight.  Parentheses may nest at most
-``MAX_PAREN_DEPTH`` deep; deeper input is a :class:`ParseError`.
+parses back to the same weight.  A coefficient with more digits than
+Python converts could not, so printing it is a ``ValueError``.
+Parentheses may nest at most ``MAX_PAREN_DEPTH`` deep; deeper input is a
+:class:`ParseError`.
 
 The parser judges the cost of every power, product and quotient before it
 computes it, from the values it has.  A power is judged by a degree and a
@@ -81,6 +83,7 @@ factors in a sum, product or quotient.  Past any ceiling the weight is a
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, List, Sequence
@@ -597,6 +600,9 @@ class RatFun:
             return other
         if not c.coeffs:
             return self
+        if b.degree == 0 and d.degree == 0:  # both monic constants, so 1
+            t = a + c
+            return _coprime(t, _P_ONE) if t.coeffs else RF_ZERO
         g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _P_ONE
         if g.degree > 0:
             b1 = b.exact_div(g)
@@ -745,7 +751,13 @@ def format_weight(r: RatFun) -> str:
         return "0"
     re, im, _ = _gaussian_ints(r.num.coeffs + r.den.coeffs)
     k = len(r.num.coeffs)
-    num, den = _terms(re[:k], im[:k]), _terms(re[k:], im[k:])
+    try:
+        num, den = _terms(re[:k], im[:k]), _terms(re[k:], im[k:])
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise ValueError(
+            f"cannot print a weight: a coefficient passes Python's {sys.get_int_max_str_digits()}"
+            "-digit limit on integers as text, so it could not be read back"
+        ) from None
     ns, ds = "".join(num), "".join(den)
     if ds == "1":
         return ns

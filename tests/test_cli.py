@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including the golden verify runs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from isored import (
     complete_graph,
     parse_weight,
 )
+from isored import cli
 from isored.cli import _fmt_complex, main
 
 from sample_graphs import (
@@ -364,6 +366,7 @@ LOOP_L = {"vertices": ["a"], "edges": _edges(("a", "a", "l"))}
         ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "1/2"), ("b", "a", "1"))}, ["weightset", "--subring", "int"]),
         (LOOP_L, ["spectrum"]),
         (LOOP_L, ["verify", "--set", "a"]),
+        ({"vertices": ["a", "b"], "edges": _edges(("a", "b", "*".join(["2^4096"] * 4)))}, ["reduce", "--set", "a,b"]),
     ],
     ids=[
         "reduce-set-non-structural",
@@ -379,6 +382,7 @@ LOOP_L = {"vertices": ["a"], "edges": _edges(("a", "a", "l"))}
         "weightset-outside-subring",
         "spectrum-zero-determinant",
         "verify-zero-determinant",
+        "weight-past-digit-limit",
     ],
 )
 def test_violated_precondition_exits_2_with_one_error_line(tmp_path, capsys, graph, argv):
@@ -414,6 +418,50 @@ def test_usage_error_exits_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("isored")
     assert "error: " in captured.err.splitlines()[-1]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# help and usage errors: top level, then each command's -h, each command
+# with no arguments (proptest needs none, and would run), and an unknown
+# option after each command, which the top-level parser reports
+PARSER_ROWS = [[], ["-h"], ["no-such-command"]] + [
+    row
+    for name in cli.COMMANDS
+    for row in ([name, "-h"], [name], [name, "g.json", "--no-such-option"])
+    if row != ["proptest"]
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ROWS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    got = _outcome(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser(()))
+    assert got == _outcome(capsys, argv)
+    assert got[0] in (0, 1) and got[1:] != ("", "")
+    if not argv or argv[0] not in cli.COMMANDS:
+        assert all(name in got[1] + got[2] for name in cli.COMMANDS)
+    if not argv:
+        assert got[2].endswith("isored: error: the following arguments are required: command\n")
+
+
+def test_a_named_command_builds_only_its_subparser():
+    def built(argv):
+        (sub,) = [a for a in cli.build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    for name in cli.COMMANDS:
+        assert built([name, "g.json"]) == [name]
+    for argv in ([], ["-h"], ["no-such-command"], ["--out", "x", "reduce"]):
+        assert built(argv) == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,14 @@ def test_parse_refuses_numerals_int_cannot_read(text):
         rf(text)
 
 
+def test_format_refuses_a_coefficient_past_the_digit_limit():
+    # 10^4300 has 4301 digits, one past Python's default limit, which the
+    # parser could not read back either
+    with pytest.raises(ValueError, match="4300-digit limit") as exc:
+        format_weight(RatFun.from_int(10**4300) * L)
+    assert not isinstance(exc.value, ParseError)
+
+
 def test_single_term_roundtrip_randomized():
     rng = random.Random(12)
     for _ in range(20000):
