@@ -39,9 +39,10 @@ def isomorphic(g: WeightedDigraph, h: WeightedDigraph) -> Optional[Dict[str, str
     sig_h = {v: _vertex_signature(h, v) for v in h.vertices}
     if sorted(sig_g.values()) != sorted(sig_h.values()):
         return None
-    candidates = {
-        v: [u for u in h.vertices if sig_h[u] == sig_g[v]] for v in g.vertices
-    }
+    by_signature: Dict[tuple, List[str]] = {}
+    for u in h.vertices:
+        by_signature.setdefault(sig_h[u], []).append(u)
+    candidates = {v: by_signature[sig_g[v]] for v in g.vertices}
     order = sorted(g.vertices, key=lambda v: len(candidates[v]))
     assignment: Dict[str, str] = {}
     inverse: Dict[str, str] = {}  # assignment's values back to its keys

@@ -11,7 +11,8 @@ numeric eigensolver for constant-weight graphs, with the
 tolerance-matched spectrum comparison that checks float spectra (its own
 or the numeric normalized Laplacian's) against exact ones by one maximum
 matching of the roots within the tolerance, once ``spectrum_minus`` has
-removed the exception set exactly.  Size guards keep the
+removed the exception set exactly.  ``mpmath.polyroots`` at 60 digits is
+the reference for the certified ``poly_roots``.  Size guards keep the
 factorial/exponential costs honest.
 """
 
@@ -185,6 +186,21 @@ def reduce_by_paths(g: WeightedDigraph, s: Sequence[str]) -> WeightedDigraph:
                 total = total + branch_product(g, Branch(path))
             edges.append((src, dst, total))
     return WeightedDigraph(s_ordered, edges)
+
+
+def polyroots_reference(p: Poly) -> list:
+    """The roots of ``p`` by ``mpmath.polyroots`` at 60 digits, as mpc
+    values: the reference that ``poly_roots``' certified roots are tested
+    against.  Its tolerance is absolute, so roots near 0 need the variable
+    scaled first; ``mpmath.NoConvergence`` propagates."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        coeffs = [
+            mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator, mpmath.mpf(c.im.numerator) / c.im.denominator)
+            for c in reversed(p.coeffs)
+        ]
+        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
 
 
 def _eig_high_precision(mat: np.ndarray) -> List[complex]:

@@ -97,14 +97,14 @@ def weight_sequence(g: WeightedDigraph, branch: Branch) -> Tuple[RatFun, ...]:
 
 def _branches_from(g: WeightedDigraph, s_set: set, start: str) -> Dict[str, List[Branch]]:
     """All branches leaving ``start``, grouped by target, each group in
-    lexicographic order of the vertex-index sequence.  The depth-first
-    walk keeps an explicit stack of successor iterators, so a long
-    branch cannot exhaust the interpreter's recursion limit."""
-    idx = g.index
+    lexicographic order of the vertex-index sequence, since successors come
+    in index order.  The depth-first walk keeps an explicit stack of
+    successor iterators, so a long branch cannot exhaust the interpreter's
+    recursion limit."""
     found: Dict[str, List[Branch]] = {}
     path = [start]
     on_path = set()
-    stack = [iter(sorted(g.successors(start), key=idx))]
+    stack = [iter(g.successors(start))]
     while stack:
         for nxt in stack[-1]:
             if nxt in s_set:
@@ -112,7 +112,7 @@ def _branches_from(g: WeightedDigraph, s_set: set, start: str) -> Dict[str, List
             elif nxt not in on_path:
                 on_path.add(nxt)
                 path.append(nxt)
-                stack.append(iter(sorted(g.successors(nxt), key=idx)))
+                stack.append(iter(g.successors(nxt)))
                 break
         else:
             stack.pop()
@@ -319,17 +319,29 @@ def common_decomposition(
     return left == right
 
 
+def _fresh_label(base: str, taken) -> str:
+    """``base`` when ``taken`` does not hold it, else the first of base1,
+    base2, ... that it does not."""
+    name, n = base, 0
+    while name in taken:
+        n += 1
+        name = f"{base}{n}"
+    return name
+
+
 def expand(g: WeightedDigraph, s: Iterable[str]) -> WeightedDigraph:
     """Branch expansion: same decomposition over S, but every branch gets
     its own fresh interior vertices, so branches are pairwise independent
     and every vertex lies on a branch.
 
     Interior names are ``<src>~<dst>~<k>~<pos>`` with k the branch index
-    within its ordered pair and pos the interior position.
+    within its ordered pair and pos the interior position, made fresh by
+    ``_fresh_label`` when an earlier name holds it.
     """
     s_ordered = require_structural_set(g, s)
     s_set = set(s_ordered)
     vertices: List[str] = list(s_ordered)
+    taken = set(vertices)
     edges: List[Tuple[str, str, RatFun]] = []
     for src in s_ordered:
         groups = _branches_from(g, s_set, src)
@@ -342,7 +354,8 @@ def expand(g: WeightedDigraph, s: Iterable[str]) -> WeightedDigraph:
                     continue
                 names = [src]
                 for pos in range(1, m - 1):
-                    name = f"{src}~{dst}~{k}~{pos}"
+                    name = _fresh_label(f"{src}~{dst}~{k}~{pos}", taken)
+                    taken.add(name)
                     names.append(name)
                     vertices.append(name)
                 names.append(dst)
@@ -384,12 +397,7 @@ def loop_bisect(
             f"{format_weight(actual)}"
         )
     if new_vertex is None:
-        base = f"{i}~{k}~bis"
-        new_vertex = base
-        n = 0
-        while g.has_vertex(new_vertex):
-            n += 1
-            new_vertex = f"{base}{n}"
+        new_vertex = _fresh_label(f"{i}~{k}~bis", set(g.vertices))
     elif g.has_vertex(new_vertex):
         raise ValueError(f"vertex {new_vertex!r} already exists")
     edges = [(u, v, w) for u, v, w in g.edges() if (u, v) != (i, k)]

@@ -1,139 +1,137 @@
-"""Numeric roots of exact polynomials.
+"""Numeric roots of exact polynomials, each certified or refused.
 
-Multiplicities are never inferred numerically: the polynomial is first
-split into squarefree factors exactly, then each factor's simple roots are
-located by companion-matrix eigenvalues and polished with Newton steps
-against the exact coefficients.
-
-Double precision locates a cluster of nearly coincident simple roots only
-to about the square root of machine epsilon, so when companion roots come
-out closer than a cluster threshold the factor is re-solved with mpmath at
-50 digits; elsewhere plain float arithmetic is plenty.
-
-A degree-1 factor is solved by one division, so numpy is imported only
-when the first factor of degree 2 or more is met, and mpmath only at the
-first cluster: a command whose polynomials are all linear loads neither.
-
-Roots are located in double precision or not at all.  When a coefficient
-or a root falls outside the double range (it overflows, or Newton's
-method leaves it infinite or NaN), or mpmath does not converge on a
-cluster, ``RootLocationError`` is raised; no NaN or infinite root is
-ever returned.  It is raised too, before any work, for a polynomial of
-degree past ``MAX_ROOT_DEGREE``.
-"""
+Factors are squarefree, so multiplicities are exact, and a root 0 is split
+off exactly.  Aberth's iteration (Bini 1996) runs from the companion
+eigenvalues on double iterates, f and f' evaluated in fixed point from each
+iterate's exact binary value under a rigorous truncation bound, until the
+corrections are a few ulps.  The corrected roots are accepted only when the
+discs D(z_i, d |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|) are pairwise
+disjoint, so each holds one root (Braess & Hadeler 1973; Carstensen 1991),
+and each, grown by its correction, has radius at most 2^-40 |z_i|.  Roots
+that doubles cannot part go on as exact dyadic rationals.  numpy loads at
+the first factor of degree 2 or more."""
 
 from __future__ import annotations
 
-import cmath
-from typing import List, Tuple
+import math
+from fractions import Fraction
 
-from .ratfun import Poly, horner, squarefree_decompose
+from .ratfun import Poly, _gaussian_ints, squarefree_decompose
 
-_CLUSTER_TOL = 1e-5
-
-# the most degree a polynomial may have for its roots to be located: the
-# companion eigenvalues cost the cube of the degree in time and its square
-# in memory (one thread on a 2-CPU x86 machine: 4.8 s and 22 MiB at degree
-# 1200, 16.9 s and 64 MiB at 2048)
+# the most degree whose roots are located: eigvals cost d^3 time, d^2 memory
+# (one thread, 2-CPU x86: 4.8 s and 22 MiB at d = 1200, 16.9 s and 64 MiB at 2048)
 MAX_ROOT_DEGREE = 2048
+# the most work of Aberth's sweeps on one factor, a sweep at p bits on d roots
+# and n terms costing d (n + d / 64) p, but at most a quarter of the whole
+MAX_SWEEP_WORK = 2**25
 
 
 class RootLocationError(ValueError):
-    """The roots of a polynomial cannot be located in double precision."""
+    """A coefficient or root leaves the double range, the discs are not
+    certified within MAX_SWEEP_WORK, or the degree passes MAX_ROOT_DEGREE."""
 
 
-def _newton_polish(f: Poly, roots: List[complex]) -> List[complex]:
-    fc = f.complex_coeffs()
-    dfc = f.derivative().complex_coeffs()
-    polished = []
-    for r in roots:
-        z = complex(r)
-        for _ in range(12):
-            fz = horner(fc, z)
-            dz = horner(dfc, z)
-            if dz == 0:
-                break
-            step = fz / dz
-            z -= step
-            if abs(step) < 1e-14 * max(1.0, abs(z)):
-                break
-        polished.append(z)
-    return polished
+def _evaluate(terms, d: int, x, y, p: int):
+    """(f(z) / (z f'(z)), log2 |f(z)| rounded up, P) at z = x + iy for the
+    Gaussian-integer f of degree d with terms (k, re, im), from k = 0 up.
+    With 2^t <= |z| < 2^(t+1), each truncated power of w = z / 2^t at P >= p
+    bits is off by < sqrt(2) (2k - 1) |w|^(k-1) 2^-P to first order, so the
+    exact sum of a_k w^k 2^(tk) by < 2^(1.5 - P) d sum |a_k z^k|."""
+    (mx, dx), (my, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+    e = max(dx, dy).bit_length() - 1
+    wr, wi = mx * ((1 << e) // dx), my * ((1 << e) // dy)  # z * 2^e
+    t = ((wr * wr + wi * wi).bit_length() - 1) // 2 - e
+    big = max(p, e + t)
+    wr, wi = wr << (big - e - t), wi << (big - e - t)  # w * 2^P
+    cr, ci, fr, fi, gr, gi, last = 1 << big, 0, 0, 0, 0, 0, 0
+    for k, ar, ai in terms:
+        n, vr, vi, last = k - last, wr, wi, k
+        while n:  # c <- c w^n by repeated squaring, each product truncated
+            if n & 1:
+                cr, ci = (cr * vr - ci * vi) >> big, (cr * vi + ci * vr) >> big
+            n >>= 1
+            if n:
+                vr, vi = (vr * vr - vi * vi) >> big, (vr * vi) >> (big - 1)
+        s = t * k if t >= 0 else -t * (d - k)
+        hr, hi = (ar * cr - ai * ci) << s, (ar * ci + ai * cr) << s
+        fr, fi, gr, gi = fr + hr, fi + hi, gr + k * hr, gi + k * hi
+    sf = max(fr.bit_length(), fi.bit_length(), 64) - 64  # keep the top 64 bits
+    sg = max(gr.bit_length(), gi.bit_length(), 64) - 64
+    fb, q = complex(fr >> sf, fi >> sf), complex(gr >> sg, gi >> sg)
+    q = fb / q if q else math.inf
+    q = complex(math.ldexp(q.real, sf - sg), math.ldexp(q.imag, sf - sg))
+    return q, math.log2(abs(fb) + 2) + sf - big + min(t, 0) * d, big
 
 
-def _has_cluster(roots: List[complex]) -> bool:
-    scale = max(1.0, max(abs(z) for z in roots))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < _CLUSTER_TOL * scale:
-                return True
-    return False
+def _aberth(terms, la, z, work: int, p: int):
+    """The roots by Aberth sweeps from z on doubles until the corrections are a
+    few ulps, or, for p > 128, on Fractions from z nudged apart by 2^-60 |z|,
+    p doubling whenever they settle; None when the work runs out."""
+    import numpy as np
+    d, ks, wide = terms[-1][0], np.array([t[0] for t in terms]), p > 128
+    num = np.frompyfunc(Fraction, 1, 1) if wide else np.asarray
+    z = z + wide * np.abs(z) * 2.0**-60 * np.exp(2j * np.pi * np.arange(d) / d)
+    z[z == 0] = 2.0 ** (la[0] - la.max() - 1)  # no root is 0, nor smaller (Cauchy)
+    xr, xi = num(z.real), num(z.imag)
+    while work > 0:
+        work -= min(d * (len(ks) + d // 64) * p, MAX_SWEEP_WORK // 4)
+        q, log_f, big = np.array([_evaluate(terms, d, x, y, p) for x, y in zip(xr, xi)]).T
+        z = xr.astype(float) + 1j * xi.astype(float)
+        diff = (xr[:, None] - xr).astype(float) + 1j * (xi[:, None] - xi).astype(float)
+        np.fill_diagonal(diff, np.inf)
+        with np.errstate(all="ignore"):
+            newton = z * q
+            c = newton / (1 - newton * (1 / diff).sum(1))
+            c[~np.isfinite(c)] = 0
+            log_z, log_d = np.log2(np.abs(z)), np.log2(np.abs(diff))
+            log_err = 2.5 + math.log2(d * len(ks)) - big.real + (la + np.outer(log_z, ks)).max(1)
+            log_min = log_d.min(1)
+            np.fill_diagonal(log_d, 0)
+            log_r = np.maximum(log_f.real, log_err) + 1 + math.log2(d) - la[-1] - log_d.sum(1) + 1e-6
+            # z - c, rounded, lies within |c| + 2^-51 |z| of z
+            grown = np.logaddexp2(log_r, np.log2(np.abs(c) + 2.0**-51 * np.abs(z)))
+            settled = np.all(np.abs(c) <= 2.0 ** (16 - p if wide else -48) * np.abs(z))
+            if (settled or wide) and np.all(grown <= log_z - 40) and np.all(log_r < log_min - 1):
+                return list(map(complex, z - c))
+        if settled and not wide:
+            return _roots_high_precision(terms, la, z, work)
+        xr, xi, p = xr - num(c.real), xi - num(c.imag), p * (1 + bool(wide and settled))
+    return None
 
 
-def _roots_high_precision(f: Poly) -> List[complex]:
-    import mpmath
-    from mpmath.libmp import NoConvergence
-
-    with mpmath.workdps(50):
-        coeffs = []
-        for c in reversed(f.coeffs):
-            re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
-            im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
-            coeffs.append(mpmath.mpc(re, im))
-        try:
-            found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        except NoConvergence:
-            raise _refusal(f, "mpmath does not converge on its root cluster") from None
-        return [complex(z) for z in found]
+def _roots_high_precision(terms, la, z, work: int):
+    """The sweeps on exact dyadic iterates, for roots doubles cannot part."""
+    return _aberth(terms, la, z, work, 256)
 
 
-def _refusal(f: Poly, why: str) -> RootLocationError:
-    return RootLocationError(f"cannot locate the roots of a degree-{f.degree} factor: {why}")
-
-
-def _all_finite(values: List[complex]) -> bool:
-    return all(cmath.isfinite(z) for z in values)
-
-
-def _squarefree_roots(f: Poly) -> List[complex]:
-    deg = f.degree
+def _squarefree_roots(f: Poly) -> list[complex]:
+    if f.degree > 1 and not f.coeffs[0]:
+        return [0j] + _squarefree_roots(Poly(f.coeffs[1:]))
+    refusal = f"cannot locate the roots of a degree-{f.degree} factor: "
     try:
         coeffs = f.complex_coeffs()
-        monic = [c / coeffs[-1] for c in coeffs[:-1]]
-    except (OverflowError, ZeroDivisionError):
-        raise _refusal(f, "its coefficients leave double range") from None
-    if not _all_finite(monic):
-        raise _refusal(f, "its coefficients leave double range")
-    if deg == 1:
-        return [-coeffs[0] / coeffs[1]]
-    import numpy as np
-
-    comp = np.zeros((deg, deg), dtype=complex)
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = [-c for c in monic]
-    roots = list(np.linalg.eigvals(comp))
-    roots = _roots_high_precision(f) if _has_cluster(roots) else _newton_polish(f, roots)
-    if not _all_finite(roots):
-        raise _refusal(f, "its root estimates leave double range")
+        if f.degree == 1:
+            return [-coeffs[0] / coeffs[1]]
+        import numpy as np
+        comp = np.diag(np.ones(f.degree - 1, dtype=complex), -1)
+        comp[:, -1] = [-c for c in coeffs[:-1]]
+        terms = [(k, a, b) for k, (a, b) in enumerate(zip(*_gaussian_ints(f.coeffs)[:2])) if a or b]
+        la = np.array([math.log2(a * a + b * b) / 2 for _, a, b in terms])
+        roots = _aberth(terms, la, np.linalg.eigvals(comp), MAX_SWEEP_WORK, 128)
+    except (OverflowError, ValueError):
+        raise RootLocationError(refusal + "its coefficients or roots leave double range") from None
+    if roots is None:
+        raise RootLocationError(refusal + "its discs are not certified within the sweep ceiling")
     return roots
 
 
-def poly_roots(p: Poly) -> List[Tuple[complex, int, Poly]]:
-    """All complex roots of ``p`` as (value, multiplicity, squarefree witness).
-
-    The witness is the monic squarefree factor the root annihilates.
-    Results are sorted by (real, imag).
-    """
+def poly_roots(p: Poly) -> list[tuple[complex, int, Poly]]:
+    """All complex roots of ``p`` as (value, multiplicity, witness), sorted by
+    (real, imag); the witness is the monic squarefree factor the root kills."""
     if p.is_zero():
         raise ValueError("the zero polynomial has every value as a root")
     if p.degree > MAX_ROOT_DEGREE:
-        raise RootLocationError(
-            f"cannot locate the roots of a degree-{p.degree} polynomial: "
-            f"its degree passes the ceiling of {MAX_ROOT_DEGREE}"
-        )
-    out: List[Tuple[complex, int, Poly]] = []
-    for factor, mult in squarefree_decompose(p):
-        for z in _squarefree_roots(factor):
-            out.append((z, mult, factor))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+        raise RootLocationError(f"cannot locate the roots of a degree-{p.degree} polynomial: "
+                                f"its degree passes the ceiling of {MAX_ROOT_DEGREE}")
+    out = [(z, m, f) for f, m in squarefree_decompose(p) for z in _squarefree_roots(f)]
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))

@@ -12,6 +12,7 @@ leaves the spectrum unchanged.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .reduction import reduce
@@ -103,27 +104,32 @@ def scc_partition(g: WeightedDigraph) -> SccPartition:
     for k, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = k
-    # condensation out-edges per component
-    cond_out: List[Set[int]] = [set() for _ in comps]
+    # Kahn's algorithm on the condensation: a component is ready once every
+    # component it has an edge into is placed; the heap serves the ready
+    # component with the smallest vertex index first
+    successors: List[Set[int]] = [set() for _ in comps]
     for u, v, _ in g.edges():
         a, b = comp_id[u], comp_id[v]
         if a != b:
-            cond_out[a].add(b)
+            successors[a].add(b)
+    predecessors: List[List[int]] = [[] for _ in comps]
+    for a, outs in enumerate(successors):
+        for b in outs:
+            predecessors[b].append(a)
     idx = g.index
     min_index = [min(idx(v) for v in comp) for comp in comps]
-    placed = [False] * len(comps)
+    waiting = [len(outs) for outs in successors]
+    ready = [(min_index[k], k) for k in range(len(comps)) if not waiting[k]]
+    heapq.heapify(ready)
     order: List[int] = []
-    remaining = set(range(len(comps)))
-    while remaining:
-        ready = [k for k in remaining if all(placed[t] for t in cond_out[k])]
-        nxt = min(ready, key=lambda k: min_index[k])
-        placed[nxt] = True
-        remaining.discard(nxt)
-        order.append(nxt)
-    ordered = [
-        tuple(sorted(comps[k], key=idx)) for k in order
-    ]
-    return SccPartition(ordered)
+    while ready:
+        _, k = heapq.heappop(ready)
+        order.append(k)
+        for a in predecessors[k]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                heapq.heappush(ready, (min_index[a], a))
+    return SccPartition([tuple(sorted(comps[k], key=idx)) for k in order])
 
 
 def scc_filter(g: WeightedDigraph) -> WeightedDigraph:

@@ -10,8 +10,9 @@ only disagree at those points.
 The exception set is kept exactly as one monic squarefree polynomial,
 the lcm of the witnesses of its points, whose roots are exactly the
 points; adding a witness multiplies in only the part coprime to what is
-already there.  Each point also carries a polished numeric value, which
-is for display and never decides membership.
+already there.  Each point also carries a numeric value, certified to lie
+within 2^-40 of the point relative to it, which is for display and never
+decides membership.
 """
 
 from __future__ import annotations

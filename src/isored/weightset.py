@@ -128,14 +128,8 @@ def weightset_reduce(
         v: _choose_maximal(by_target[v]) for v in basic
     }
 
-    # fresh interior labels: reuse the original name unless another chosen
-    # maximal branch also carries it
-    interior_uses: Dict[str, int] = {}
-    for v in basic:
-        b = gamma[v]
-        if b is not None:
-            for u in b.interiors():
-                interior_uses[u] = interior_uses.get(u, 0) + 1
+    # interiors keep their names: an off-basic vertex has out-degree at most
+    # 1, so it lies on the maximal branch of one target at most
     path_names: Dict[str, List[str]] = {}
     vertices: List[str] = list(basic)
     for v in basic:
@@ -143,13 +137,8 @@ def weightset_reduce(
         if b is None:
             path_names[v] = [v]
             continue
-        names = [b.source]
-        for u in b.interiors():
-            name = u if interior_uses[u] == 1 and u not in basic else f"{u}~{v}"
-            names.append(name)
-            vertices.append(name)
-        names.append(v)
-        path_names[v] = names
+        path_names[v] = [b.source, *b.interiors(), v]
+        vertices.extend(b.interiors())
 
     raw: List[Tuple[str, str, RatFun]] = []
     one = RatFun.one()

@@ -119,11 +119,13 @@ class WeightedDigraph:
         return len(self._edges)
 
     def successors(self, v: str) -> List[str]:
+        """The heads of v's out-edges, in vertex-index order."""
         if v not in self._index:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return list(self._out[v])
 
     def predecessors(self, v: str) -> List[str]:
+        """The tails of v's in-edges, in vertex-index order."""
         if v not in self._index:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return list(self._in[v])

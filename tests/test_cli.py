@@ -20,6 +20,7 @@ from isored import (
 )
 from isored import cli
 from isored.cli import _fmt_complex, main
+from isored.oracles import polyroots_reference
 
 from sample_graphs import (
     branch_pair_compact,
@@ -472,8 +473,7 @@ def test_a_named_command_builds_only_its_subparser():
     "loop",
     [
         "l^3+10^400",  # a coefficient overflows a double
-        "10^300*l^3+l+1",  # mpmath does not converge on the tiny root cluster
-        "(l+1)^250",  # Newton steps leave double range (NaN roots at the parent)
+        "(l+1)^250",  # the inclusion discs are not certified within the sweep ceiling
         "l^3000",  # the degree passes the root-location ceiling
     ],
 )
@@ -487,6 +487,29 @@ def test_roots_outside_double_range_exit_2_with_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot locate the roots")
+
+
+@pytest.mark.parametrize(
+    "vertices,argv",
+    [(["v"], ["spectrum"]), (["v"], ["verify", "--set", "v"]), (["s", "v"], ["reduce", "--set", "s"])],
+)
+def test_tiny_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, vertices, argv):
+    # l = 10^300 l^3 + l + 1 is solved by l = 10^-100 u with u^3 = -1
+    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": "10^300*l^3+l+1"}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code = main([argv[0], str(path)] + argv[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    if argv[0] == "verify":
+        return
+    data = json.loads(out)
+    points = data["roots"] if argv[0] == "spectrum" else data["forbidden_set"]["points"]
+    found = [complex(r["re"], r["im"]) for r in points]
+    reference = [complex(u) * 1e-100 for u in polyroots_reference(parse_weight("l^3+1").num)]
+    assert len(found) == 3
+    for z in found:
+        assert min(abs(z - r) / abs(r) for r in reference) <= 1e-12
 
 
 def test_fmt_complex_clears_noise_in_either_part():
@@ -537,6 +560,24 @@ def test_expand_command(tmp_path, capsys):
     assert code == 0
     expanded = WeightedDigraph.from_json_dict(json.loads(out))
     assert expanded.n == 6
+
+
+@pytest.mark.parametrize(
+    "vertices,argv,fresh",
+    [
+        # a -> c -> b, and an isolated vertex that holds the interior copy's name
+        (["a", "b", "c", "a~b~0~1"], ["expand", "--set", "a,b,a~b~0~1"], "a~b~0~11"),
+        (["a", "b", "a~b~bis"], ["bisect", "--edge", "a,b", "--w-in", "1", "--w-loop", "0", "--w-out", "1"], "a~b~bis1"),
+    ],
+)
+def test_new_vertices_get_names_no_vertex_holds(tmp_path, capsys, vertices, argv, fresh):
+    weight = RatFun.one() / RatFun.var() if argv[0] == "bisect" else RatFun.one()
+    edges = [("a", "b", weight)] if argv[0] == "bisect" else [("a", "c", weight), ("c", "b", weight)]
+    path = write_graph(tmp_path, "g.json", WeightedDigraph(vertices, edges))
+    code, out = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    made = WeightedDigraph.from_json_dict(json.loads(out))
+    assert fresh in made.vertices and len(set(made.vertices)) == made.n
 
 
 def test_bisect_command_roundtrip(tmp_path, capsys):
