@@ -3,8 +3,8 @@
 Factors are squarefree, so multiplicities are exact, and a root 0 is split
 off exactly.  Aberth's iteration (Bini 1996) runs from the companion
 eigenvalues on double iterates, f and f' evaluated in fixed point from each
-iterate's exact binary value under a rigorous truncation bound, until the
-corrections are a few ulps.  The corrected roots are accepted only when the
+iterate's exact binary value under a rigorous truncation bound, until each
+correction is at most 2^-48 |z|.  The corrected roots are accepted only if the
 discs D(z_i, d |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|) are pairwise
 disjoint, so each holds one root (Braess & Hadeler 1973; Carstensen 1991),
 and each, grown by its correction, has radius at most 2^-40 |z_i|.  Roots
@@ -22,8 +22,8 @@ from .ratfun import Poly, _gaussian_ints, squarefree_decompose
 # (one thread, 2-CPU x86: 4.8 s and 22 MiB at d = 1200, 16.9 s and 64 MiB at 2048)
 MAX_ROOT_DEGREE = 2048
 # the most work of Aberth's sweeps on one factor, a sweep at p bits on d roots
-# and n terms costing d (n + d / 64) p, but at most a quarter of the whole
-MAX_SWEEP_WORK = 2**25
+# and n terms costing d (n + d / 64) p, but at most half of the whole
+MAX_SWEEP_WORK = 2**24
 
 
 class RootLocationError(ValueError):
@@ -55,18 +55,15 @@ def _evaluate(terms, d: int, x, y, p: int):
         s = t * k if t >= 0 else -t * (d - k)
         hr, hi = (ar * cr - ai * ci) << s, (ar * ci + ai * cr) << s
         fr, fi, gr, gi = fr + hr, fi + hi, gr + k * hr, gi + k * hi
-    sf = max(fr.bit_length(), fi.bit_length(), 64) - 64  # keep the top 64 bits
-    sg = max(gr.bit_length(), gi.bit_length(), 64) - 64
-    fb, q = complex(fr >> sf, fi >> sf), complex(gr >> sg, gi >> sg)
-    q = fb / q if q else math.inf
-    q = complex(math.ldexp(q.real, sf - sg), math.ldexp(q.imag, sf - sg))
-    return q, math.log2(abs(fb) + 2) + sf - big + min(t, 0) * d, big
+    n2 = gr * gr + gi * gi  # f / (z f') is F / G, by correctly rounded int divisions
+    q = complex((fr * gr + fi * gi) / n2, (fi * gr - fr * gi) / n2) if n2 else math.inf
+    return q, math.log2(fr * fr + fi * fi + 1) / 2 - big + min(t, 0) * d, big
 
 
 def _aberth(terms, la, z, work: int, p: int):
-    """The roots by Aberth sweeps from z on doubles until the corrections are a
-    few ulps, or, for p > 128, on Fractions from z nudged apart by 2^-60 |z|,
-    p doubling whenever they settle; None when the work runs out."""
+    """The roots by Aberth sweeps from z on doubles until the corrections are
+    at most 2^-48 |z|, or, for p > 128, on Fractions from z nudged 2^-60 |z|
+    apart, p doubling when they settle or drown in the bound; else None."""
     import numpy as np
     d, ks, wide = terms[-1][0], np.array([t[0] for t in terms]), p > 128
     num = np.frompyfunc(Fraction, 1, 1) if wide else np.asarray
@@ -74,7 +71,7 @@ def _aberth(terms, la, z, work: int, p: int):
     z[z == 0] = 2.0 ** (la[0] - la.max() - 1)  # no root is 0, nor smaller (Cauchy)
     xr, xi = num(z.real), num(z.imag)
     while work > 0:
-        work -= min(d * (len(ks) + d // 64) * p, MAX_SWEEP_WORK // 4)
+        work -= min(d * (len(ks) + d // 64) * p, MAX_SWEEP_WORK // 2)
         q, log_f, big = np.array([_evaluate(terms, d, x, y, p) for x, y in zip(xr, xi)]).T
         z = xr.astype(float) + 1j * xi.astype(float)
         diff = (xr[:, None] - xr).astype(float) + 1j * (xi[:, None] - xi).astype(float)
@@ -91,11 +88,14 @@ def _aberth(terms, la, z, work: int, p: int):
             # z - c, rounded, lies within |c| + 2^-51 |z| of z
             grown = np.logaddexp2(log_r, np.log2(np.abs(c) + 2.0**-51 * np.abs(z)))
             settled = np.all(np.abs(c) <= 2.0 ** (16 - p if wide else -48) * np.abs(z))
-            if (settled or wide) and np.all(grown <= log_z - 40) and np.all(log_r < log_min - 1):
+            certified = (grown <= log_z - 40) & (log_r < log_min - 1)
+            if (settled or wide) and certified.all():
                 return list(map(complex, z - c))
+            # p is too small where an uncertified root's value drowns in the bound
+            noisy = np.any(~certified & (log_f.real < log_err + 8))
         if settled and not wide:
             return _roots_high_precision(terms, la, z, work)
-        xr, xi, p = xr - num(c.real), xi - num(c.imag), p * (1 + bool(wide and settled))
+        xr, xi, p = xr - num(c.real), xi - num(c.imag), p * (1 + bool(wide and (settled or noisy)))
     return None
 
 
