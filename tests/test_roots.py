@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from isored import roots
 from isored.oracles import polyroots_reference
 from isored.ratfun import GaussianRational, Poly, parse_weight
-from isored import roots
 from isored.roots import poly_roots
 
 # how close, relative to the root, a printed root must be
@@ -29,20 +29,20 @@ def planted_roots(rng: random.Random, kind: str):
     ("pair"), or five to seven roots within 5 of 1000 and one near 2, as in
     the degree-7 factor that double companion eigenvalues misplace by 35
     ("cluster")."""
-    roots = [polar(rng, rng.uniform(0.1, 10)) for _ in range(rng.randint(0, 3))]
+    planted = [polar(rng, rng.uniform(0.1, 10)) for _ in range(rng.randint(0, 3))]
     if kind == "extreme":
-        roots.append(polar(rng, 10.0 ** rng.uniform(-100, 100)))
+        planted.append(polar(rng, 10.0 ** rng.uniform(-100, 100)))
     elif kind == "pair":
         r = polar(rng, 10.0 ** rng.uniform(-3, 3))
-        roots += [r, r * (1 + polar(rng, 10.0 ** rng.uniform(-9, -3)))]
+        planted += [r, r * (1 + polar(rng, 10.0 ** rng.uniform(-9, -3)))]
     else:
-        roots = [2 + polar(rng, 0.01)] + [1000 + polar(rng, rng.uniform(0.5, 5)) for _ in range(rng.randint(5, 7))]
-    return [exact(r) for r in roots]
+        planted = [2 + polar(rng, 0.01)] + [1000 + polar(rng, rng.uniform(0.5, 5)) for _ in range(rng.randint(5, 7))]
+    return [exact(r) for r in planted]
 
 
-def product(roots) -> Poly:
+def product(planted) -> Poly:
     p = Poly.one()
-    for r in roots:
+    for r in planted:
         p = p * Poly([-r, GaussianRational(1)])
     return p
 
