@@ -10,7 +10,7 @@ is exact; floating point enters only when locating roots numerically.
 The core modules load with the package.  The names exported from
 ``scc``, ``laplacian``, ``isoequiv`` and ``oracles`` load their module on
 first access, so a command that never uses them never imports them, nor
-numpy through ``oracles``.
+numpy through ``oracles``; nothing else imports numpy.
 """
 
 import importlib

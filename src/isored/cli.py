@@ -351,7 +351,8 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     # one BLAS thread unless the user chose one: more threads can make the
     # first small eigenvalue problem an order of magnitude slower, and make
-    # a large one no faster; numpy reads these when it loads
+    # a large one no faster; numpy, which only proptest loads (through
+    # oracles), reads these when it loads
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     argv = sys.argv[1:] if argv is None else argv

@@ -30,11 +30,12 @@ What is left is making the denominator monic.  The result is the same
 canonical form the general canonicaliser gives, at the cost of gcds of
 polynomials about half the degree of the cross products.
 
-:func:`poly_gcd` clears both operands to Gaussian-integer polynomials and
-runs the subresultant remainder sequence over Z[i] (Collins 1967; Brown
-1971), so no ``Fraction`` arithmetic happens until the last remainder is
-made monic.  The gcd is unique up to a unit, so this is the same monic
-polynomial the Euclidean algorithm over Q(i) gives
+:func:`poly_gcd` clears both operands to Gaussian-integer polynomials,
+returns 1 at once when their image over one prime field proves them
+coprime, and else runs the subresultant remainder sequence over Z[i]
+(Collins 1967; Brown 1971), so no ``Fraction`` arithmetic happens until
+the last remainder is made monic.  The gcd is unique up to a unit, so
+this is the same monic polynomial the Euclidean algorithm over Q(i) gives
 (``oracles.poly_gcd_euclid``, the reference).  :meth:`Poly.exact_div`,
 the one polynomial division (Bareiss steps, Henrici cancellation, Yun's
 squarefree split), is long division over Z[i] through the same clearing,
@@ -253,12 +254,13 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return _P_ZERO
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for ia, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for ib, cb in enumerate(other.coeffs):
-                if cb:
-                    out[ia + ib] = out[ia + ib] + ca * cb
+        # the nonzero terms of each operand; a place no product has touched
+        # holds the shared GR_ZERO, which the identity test skips at once
+        xs = [(k, c) for k, c in enumerate(self.coeffs) if c is not GR_ZERO and c]
+        ys = [(k, c) for k, c in enumerate(other.coeffs) if c is not GR_ZERO and c]
+        for ia, ca in xs:
+            for ib, cb in ys:
+                out[ia + ib] = out[ia + ib] + ca * cb
         return Poly(out)
 
     def scale(self, c: GaussianRational) -> "Poly":
@@ -440,16 +442,47 @@ def _prem(ur, ui, vr, vi):
     return ur[k:], ui[k:]
 
 
+# a prime p = 5 (mod 8), so that 2 is a non-residue and 2^((p-1)/4) is a
+# square root of -1 mod p: i -> _SQRT_M1 maps Z[i] onto F_p
+_P = 2**61 + 21
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+
+
+def _coprime_mod_p(ur, ui, vr, vi) -> bool:
+    """Whether the images over F_p of the Gaussian-integer polynomials u and
+    v (deg u >= deg v >= 1) keep their leading terms and have a constant
+    gcd, which proves u and v coprime over Q(i): the primitive gcd G over
+    Z[i] divides both, so its image, of the same degree, divides theirs."""
+    p, s = _P, _SQRT_M1
+    a = [(x + s * y) % p for x, y in zip(ur, ui)]
+    b = [(x + s * y) % p for x, y in zip(vr, vi)]
+    if not a[0] or not b[0]:
+        return False
+    while len(b) > 1:
+        # a mod b by long division, the quotient's places left in a
+        n, inv = len(b), pow(b[0], -1, p)
+        for k in range(len(a) - n + 1):
+            q = a[k] * inv % p
+            if q:
+                a[k + 1 : k + n] = [(x - q * y) % p for x, y in zip(a[k + 1 : k + n], b[1:])]
+        k = len(a) - n + 1
+        while k < len(a) and not a[k]:
+            k += 1
+        a, b = b, a[k:]
+    return bool(b)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by the subresultant PRS over Z[i].
 
-    Both operands are cleared to Gaussian-integer polynomials, and the
-    Collins-Brown subresultant remainder sequence (Brown 1971, "On Euclid's
-    algorithm and the computation of polynomial greatest common divisors")
-    divides each pseudo-remainder exactly by g * h^delta, which keeps the
-    coefficients small without any gcd of coefficients.  The last nonzero
-    remainder is a Gaussian-integer multiple of the gcd over Q(i), which is
-    returned monic.
+    Both operands are cleared to Gaussian-integer polynomials.  If one
+    image over a fixed prime field proves them coprime (``_coprime_mod_p``),
+    the gcd is 1.  Else the Collins-Brown subresultant remainder sequence
+    (Brown 1971, "On Euclid's algorithm and the computation of polynomial
+    greatest common divisors") divides each pseudo-remainder exactly by
+    g * h^delta, which keeps the coefficients small without any gcd of
+    coefficients.  The last nonzero remainder is a Gaussian-integer multiple
+    of the gcd over Q(i), which is returned monic.
     """
     if not b.coeffs:
         return a.monic()
@@ -461,6 +494,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _P_ONE
     ur, ui, _ = _gaussian_ints(a.coeffs[::-1])
     vr, vi, _ = _gaussian_ints(b.coeffs[::-1])
+    if _coprime_mod_p(ur, ui, vr, vi):
+        return _P_ONE
     gr, gi, hr, hi = 1, 0, 1, 0
     while True:
         delta = len(ur) - len(vr)

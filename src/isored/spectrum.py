@@ -5,8 +5,9 @@ The spectrum of a graph is the solution list, with multiplicities, of
 field.  The determinant canonicalizes to ``num/den``; the solutions are
 the roots of ``num`` (poles are cancelled by canonicality), their
 multiplicities come from the exact squarefree decomposition, and each
-numeric root value is certified by :mod:`isored.roots` to lie within
-2^-40 of its root, relative to it.
+numeric root value is certified by :mod:`isored.roots`, on Python numbers,
+to lie within 2^-40 of its root, relative to it; a root that its disc
+shows real, in a factor with real coefficients, has imaginary part 0.
 
 ``char_det`` runs the one elimination kernel of :mod:`isored.reduction`
 under its least-fill pivot rule first.  Removing a vertex v by the

@@ -23,6 +23,8 @@ from isored.cli import _fmt_complex, main
 from isored.oracles import polyroots_reference
 
 from sample_graphs import (
+    COMPACT_SET,
+    EXPANDED_SET,
     branch_pair_compact,
     branch_pair_expanded,
     diamond_with_pendant_cycles,
@@ -715,7 +717,7 @@ WARMUP = {
     ],
 }
 UNDIRECTED_EDGE = {"vertices": ["a", "b"], "edges": [GOOD_EDGE], "undirected": True}
-# what a command that locates no root of degree >= 2 has no use for
+# what no command but proptest has a use for
 NOT_AT_START = {"numpy", "scipy", "mpmath", "isored.proptest", "isored.oracles", "isored.laplacian"}
 
 
@@ -786,8 +788,8 @@ STARTUP_ROWS = [
     (["expand", "--set", "a"], WARMUP, set()),
     (["bisect", "--edge", "a,b", "--w-in", "2*l", "--w-loop", "0", "--w-out", "1"], WARMUP, set()),
     (["laplacian"], UNDIRECTED_EDGE, {"isored.laplacian"}),
-    (["spectrum"], WARMUP, {"numpy"}),
-    (["verify", "--set", "a"], WARMUP, {"numpy"}),
+    (["spectrum"], WARMUP, set()),
+    (["verify", "--set", "a"], WARMUP, set()),
 ]
 
 
@@ -806,6 +808,45 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, graph, needed):
     loaded = set(proc.stderr.split())
     assert needed <= loaded
     assert not (NOT_AT_START - needed) & loaded
+
+
+def graph_rows():
+    """(graph JSON, structural set) for the warm-up graph and the sample graphs."""
+    yield WARMUP, "a"
+    yield json.loads(branch_pair_expanded().to_json()), ",".join(EXPANDED_SET)
+    yield json.loads(branch_pair_compact().to_json()), ",".join(COMPACT_SET)
+    yield json.loads(diamond_with_pendant_cycles().to_json()), "w2,w5"
+    yield json.loads(laplacian_triangle().to_json()), "v1,v2,v3"
+
+
+def test_commands_run_the_same_with_numpy_blocked(tmp_path, capsys):
+    # a None entry in sys.modules makes every import of numpy fail
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import isored.cli\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        code = isored.cli.main(argv)\n"
+        "    out.append([code, buf.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    runs = []
+    for k, (graph, structural) in enumerate(graph_rows()):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(json.dumps(graph))
+        g = str(path)
+        runs += [
+            ["spectrum", g],
+            ["verify", g, "--set", structural],
+            ["reduce", g, "--set", structural],
+            ["isocheck", g, g],
+        ]
+    proc = run_fresh(script, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    for argv, blocked in zip(runs, json.loads(proc.stdout)):
+        assert blocked == [0, run_cli(capsys, *argv)[1]], argv
 
 
 def test_float_spectrum_matching_runs_without_scipy():

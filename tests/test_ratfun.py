@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from isored import (
     is_structural_set,
     isomorphic,
     proptest,
+    ratfun,
     reduced_scc_check,
     remove_vertex,
     unique_reduce_to,
@@ -37,6 +39,8 @@ from isored.ratfun import (
     poly_gcd,
     poly_to_string,
     squarefree_decompose,
+    _P,
+    _SQRT_M1,
     _gaussian_ints,
     _power_size,
 )
@@ -543,6 +547,41 @@ def test_poly_gcd_equals_the_euclidean_reference_randomized():
         taken["repeated"] += poly_gcd(common, common.derivative()).degree > 0
         taken["gaussian"] += any(c.im for c in a.coeffs + b.coeffs)
     assert min(taken.values()) >= 10, taken
+
+
+def test_poly_gcd_proves_coprime_pairs_by_one_prime_image_randomized(monkeypatch):
+    # coprime pairs end at their image over F_p; pairs with a common factor,
+    # and pairs whose leading coefficient maps to 0 mod p (a multiple of p,
+    # or -s + i with s^2 = -1 mod p), run the subresultant sequence
+    rng = random.Random("modular-gcd")
+    calls = []
+    prem = ratfun._prem
+    monkeypatch.setattr(ratfun, "_prem", lambda *a: calls.append(1) or prem(*a))
+
+    def poly(deg, lead=None):
+        # a constant term 1-9 keeps the integer content from dividing p out of the lead
+        cs = [
+            GaussianRational(rng.randint(-9, 9), rng.randint(-3, 3) * (rng.random() < 0.5))
+            for _ in range(deg - 1)
+        ]
+        lead = lead or GaussianRational(rng.randint(1, 9), rng.randint(-3, 3))
+        return Poly([GaussianRational(rng.randint(1, 9))] + cs + [lead])
+
+    leads = [None, GaussianRational(_P * rng.randint(1, 5)), GaussianRational(-_SQRT_M1, 1)]
+    taken = Counter()
+    for case in range(360):
+        lead, shared = leads[case % 3], case % 2
+        # a shared factor carries the lead, so that its image loses degree
+        a, b = poly(rng.randint(1, 8), None if shared else lead), poly(rng.randint(1, 8))
+        if shared:
+            common = poly(rng.randint(1, 3), lead)
+            a, b = a * common, b * common
+        calls.clear()
+        g = poly_gcd(a, b)
+        assert g == poly_gcd_euclid(a, b) == poly_gcd(b, a), (poly_to_string(a), poly_to_string(b))
+        assert bool(calls) == (lead is not None or g.degree > 0), (poly_to_string(a), poly_to_string(b))
+        taken[lead is None, g.degree > 0] += 1
+    assert taken[True, False] >= 50 and taken[True, True] >= 60 and taken[False, False] >= 100, taken
 
 
 def test_poly_gcd_of_the_recorded_degree_14_gaussian_pair():

@@ -59,6 +59,25 @@ def test_each_planted_root_has_exactly_one_printed_root_near_it(kind):
             assert len(near) == 1, (kind, case, r, [z for z, _, _ in found])
 
 
+def test_real_roots_of_real_factors_print_with_imaginary_part_zero():
+    # real roots and conjugate pairs, some pairs within 1e-12 of the real axis
+    rng = random.Random("real")
+    for case in range(60):
+        reals = [exact(rng.uniform(-10, 10)) for _ in range(rng.randint(1, 4))]
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            re = rng.uniform(-10, 10)
+            pairs.append(exact(complex(re, abs(re) * 10.0 ** rng.uniform(-12, 0))))
+        p = product(reals + pairs + [GaussianRational(c.re, -c.im) for c in pairs])
+        assert not any(c.im for c in p.coeffs)
+        found = [z for z, _, _ in poly_roots(p)]
+        assert len(found) == len(reals) + 2 * len(pairs), case
+        for r in reals + pairs:
+            near = [z for z in found if abs(z - r.to_complex()) <= REL * abs(r.to_complex())]
+            assert len(near) == 1, (case, r, found)
+            assert (near[0].imag == 0) == (not r.im), (case, r, near[0])
+
+
 def test_a_root_zero_inside_a_factor_is_exactly_zero():
     found = poly_roots(parse_weight("l^3-2*l").num)
     assert [z for z, _, _ in found][1] == 0j
