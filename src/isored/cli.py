@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ratfun import ParseError, parse_weight
 from .reduction import expand, loop_bisect, reduce, sequential_reduce, unique_reduce_to
+from .roots import located_once
 from .spectrum import compare_outside, spectrum
 from .structural import basic_structural_set, forbidden_set
 from .weightset import SUBRING_TESTS, verify_weightset, weightset_reduce
@@ -358,7 +359,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        code, text = args.handler(args)
+        with located_once():
+            code, text = args.handler(args)
         _emit(text, args.out)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

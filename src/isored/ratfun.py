@@ -30,19 +30,19 @@ What is left is making the denominator monic.  The result is the same
 canonical form the general canonicaliser gives, at the cost of gcds of
 polynomials about half the degree of the cross products.
 
-:func:`poly_gcd` clears both operands to Gaussian-integer polynomials,
-returns 1 at once when their image over one prime field proves them
-coprime, and else runs the subresultant remainder sequence over Z[i]
-(Collins 1967; Brown 1971), so no ``Fraction`` arithmetic happens until
-the last remainder is made monic.  The gcd is unique up to a unit, so
-this is the same monic polynomial the Euclidean algorithm over Q(i) gives
-(``oracles.poly_gcd_euclid``, the reference).  :meth:`Poly.exact_div`,
-the one polynomial division (Bareiss steps, Henrici cancellation, Yun's
-squarefree split), is long division over Z[i] through the same clearing,
-``_gaussian_ints``; division with a remainder over Q(i) is
-``oracles.poly_divmod``, the reference.  :func:`format_weight` prints
-through that clearing too, applied to the numerator's and denominator's
-coefficients together.
+:func:`poly_gcd` splits the powers of l off both operands, clears what is
+left to Gaussian-integer polynomials, returns 1 at once when their image
+over one prime field proves them coprime, and else runs the subresultant
+remainder sequence over Z[i] (Collins 1967; Brown 1971), so no
+``Fraction`` arithmetic happens until the last remainder is made monic.
+The gcd is unique up to a unit, so this is the same monic polynomial the
+Euclidean algorithm over Q(i) gives (``oracles.poly_gcd_euclid``, the
+reference).  :meth:`Poly.exact_div`, the one polynomial division (Bareiss
+steps, Henrici cancellation, Yun's squarefree split), is long division
+over Z[i] through the same clearing, ``_gaussian_ints``; division with a
+remainder over Q(i) is ``oracles.poly_divmod``, the reference.
+:func:`format_weight` prints through that clearing too, applied to the
+numerator's and denominator's coefficients together.
 
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
@@ -472,30 +472,55 @@ def _coprime_mod_p(ur, ui, vr, vi) -> bool:
     return bool(b)
 
 
+def _order(cs: Sequence[GaussianRational]) -> int:
+    """The order of vanishing at 0 of the nonzero polynomial with the
+    ascending coefficients ``cs``: the index of the first nonzero one."""
+    k = 0
+    while not cs[k]:
+        k += 1
+    return k
+
+
+def _times_l(cs: Sequence[GaussianRational], k: int) -> Poly:
+    """The monic polynomial l^k times the one with ascending coefficients
+    ``cs``, whose leading coefficient is 1."""
+    if not k and len(cs) == 1:
+        return _P_ONE
+    out = Poly.__new__(Poly)
+    out.coeffs = (GR_ZERO,) * k + tuple(cs)
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by the subresultant PRS over Z[i].
 
-    Both operands are cleared to Gaussian-integer polynomials.  If one
-    image over a fixed prime field proves them coprime (``_coprime_mod_p``),
-    the gcd is 1.  Else the Collins-Brown subresultant remainder sequence
-    (Brown 1971, "On Euclid's algorithm and the computation of polynomial
-    greatest common divisors") divides each pseudo-remainder exactly by
-    g * h^delta, which keeps the coefficients small without any gcd of
-    coefficients.  The last nonzero remainder is a Gaussian-integer multiple
-    of the gcd over Q(i), which is returned monic.
+    Powers of l are split off first: with v the order of vanishing at 0,
+    gcd(a, b) = l^min(v_a, v_b) gcd(a / l^v_a, b / l^v_b), so a chain of
+    eliminations' l^k never enters the remainder sequence.  What is left is
+    cleared to Gaussian-integer polynomials.  If one image over a fixed
+    prime field proves them coprime (``_coprime_mod_p``), their gcd is 1.
+    Else the Collins-Brown subresultant remainder sequence (Brown 1971, "On
+    Euclid's algorithm and the computation of polynomial greatest common
+    divisors") divides each pseudo-remainder exactly by g * h^delta, which
+    keeps the coefficients small without any gcd of coefficients.  The last
+    nonzero remainder is a Gaussian-integer multiple of the gcd over Q(i),
+    which is made monic.
     """
     if not b.coeffs:
         return a.monic()
     if not a.coeffs:
         return b.monic()
-    if len(a.coeffs) < len(b.coeffs):
-        a, b = b, a
-    if len(b.coeffs) == 1:
-        return _P_ONE
-    ur, ui, _ = _gaussian_ints(a.coeffs[::-1])
-    vr, vi, _ = _gaussian_ints(b.coeffs[::-1])
+    va, vb = _order(a.coeffs), _order(b.coeffs)
+    shift = min(va, vb)
+    ac, bc = a.coeffs[va:], b.coeffs[vb:]
+    if len(ac) < len(bc):
+        ac, bc = bc, ac
+    if len(bc) == 1:
+        return _times_l((GR_ONE,), shift)
+    ur, ui, _ = _gaussian_ints(ac[::-1])
+    vr, vi, _ = _gaussian_ints(bc[::-1])
     if _coprime_mod_p(ur, ui, vr, vi):
-        return _P_ONE
+        return _times_l((GR_ONE,), shift)
     gr, gi, hr, hi = 1, 0, 1, 0
     while True:
         delta = len(ur) - len(vr)
@@ -503,7 +528,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if not rr:
             break
         if len(rr) == 1:
-            return _P_ONE
+            return _times_l((GR_ONE,), shift)
         # v <- prem(u, v) / (g * h^delta), then g <- lc(u), h <- g^delta / h^(delta-1)
         sr, si = _gpow(hr, hi, delta)
         sr, si = gr * sr - gi * si, gr * si + gi * sr
@@ -528,9 +553,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         for x, y in zip(vr[:0:-1], vi[:0:-1])
     ]
     cs.append(GR_ONE)
-    out = Poly.__new__(Poly)
-    out.coeffs = tuple(cs)
-    return out
+    return _times_l(cs, shift)
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -543,7 +566,11 @@ def squarefree_decompose(p: Poly):
     """Yun decomposition ``p = lead * prod f_i^(m_i)``.
 
     Returns a list of (monic squarefree factor, multiplicity) pairs with
-    pairwise-coprime factors; constants decompose to the empty list.
+    pairwise-coprime factors; constants decompose to the empty list.  A
+    squarefree p, whose gcd with p' is 1, is returned as [(p, 1)] at once,
+    as the loop would return it.  A root 0 stays inside its factor: the
+    factor f_i with l | f_i has multiplicity m_i, and is printed as the
+    witness of its roots.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -553,6 +580,8 @@ def squarefree_decompose(p: Poly):
     out = []
     dp = p.derivative()
     g = poly_gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
     c = p.exact_div(g)
     d = dp.exact_div(g) - c.derivative()
     i = 1

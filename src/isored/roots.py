@@ -15,11 +15,18 @@ roots are accepted only if the discs D(z_i, d |f(z_i)| / |lc prod_{j != i}
 2^-40 |z_i|.  Roots that doubles cannot part go on as exact dyadic
 rationals.  For a factor with real coefficients, a disc that meets the real
 axis and whose mirror image meets no other disc holds a real root, which is
-returned with imaginary part 0.  Everything runs on Python numbers."""
+returned with imaginary part 0.  Everything runs on Python numbers.
+
+Inside ``located_once``, which ``cli.main`` enters for each command, each
+monic squarefree factor is located once and looked up after: by the
+identity det(M - lI) = prod (w_vv - l) det(R_S - lI), sigma(G), sigma(R_S)
+and the exception set share most of their factors.  The table is dropped
+when the block ends, so calls outside it keep nothing."""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .ratfun import Poly, _gaussian_ints, squarefree_decompose
@@ -34,6 +41,10 @@ MAX_ROOT_DEGREE = 2048
 # whole; a double sweep on m roots still moving costs m (n + d), but at most
 # 1/32 of the whole, and the double sweeps stop once they have spent half
 MAX_SWEEP_WORK = 2**24
+
+
+# the roots of each factor located inside ``located_once``, by factor
+_located: dict[Poly, list[complex]] | None = None
 
 
 class RootLocationError(ValueError):
@@ -249,8 +260,8 @@ def _squarefree_roots(f: Poly) -> list[complex]:
         return [0j] + _squarefree_roots(Poly(f.coeffs[1:]))
     refusal = f"cannot locate the roots of a degree-{f.degree} factor: "
     try:
-        coeffs = f.complex_coeffs()
         if f.degree == 1:
+            coeffs = f.complex_coeffs()
             return [-coeffs[0] / coeffs[1]]
         terms = [(k, a, b) for k, (a, b) in enumerate(zip(*_gaussian_ints(f.coeffs)[:2])) if a or b]
         la = [math.log2(a * a + b * b) / 2 for _, a, b in terms]
@@ -264,6 +275,25 @@ def _squarefree_roots(f: Poly) -> list[complex]:
     return roots
 
 
+@contextmanager
+def located_once():
+    """A block in which each monic squarefree factor is located only once."""
+    global _located
+    _located = {}
+    try:
+        yield
+    finally:
+        _located = None
+
+
+def _located_roots(f: Poly) -> list[complex]:
+    if _located is None:
+        return _squarefree_roots(f)
+    if f not in _located:
+        _located[f] = _squarefree_roots(f)
+    return _located[f]
+
+
 def poly_roots(p: Poly) -> list[tuple[complex, int, Poly]]:
     """All complex roots of ``p`` as (value, multiplicity, witness), sorted by
     (real, imag); the witness is the monic squarefree factor the root kills."""
@@ -272,5 +302,5 @@ def poly_roots(p: Poly) -> list[tuple[complex, int, Poly]]:
     if p.degree > MAX_ROOT_DEGREE:
         raise RootLocationError(f"cannot locate the roots of a degree-{p.degree} polynomial: "
                                 f"its degree passes the ceiling of {MAX_ROOT_DEGREE}")
-    out = [(z, m, f) for f, m in squarefree_decompose(p) for z in _squarefree_roots(f)]
+    out = [(z, m, f) for f, m in squarefree_decompose(p) for z in _located_roots(f)]
     return sorted(out, key=lambda t: (t[0].real, t[0].imag))

@@ -21,6 +21,7 @@ from isored import (
 from isored import cli
 from isored.cli import _fmt_complex, main
 from isored.oracles import polyroots_reference
+from isored.ratfun import GaussianRational, Poly
 
 from sample_graphs import (
     COMPACT_SET,
@@ -474,7 +475,7 @@ def test_a_named_command_builds_only_its_subparser():
 @pytest.mark.parametrize(
     "loop",
     [
-        "l^3+10^400",  # a coefficient overflows a double
+        "l^2+10^700",  # the roots, of modulus 10^350, overflow a double
         "(l+1)^250",  # the inclusion discs are not certified within the sweep ceiling
         "l^3000",  # the degree passes the root-location ceiling
     ],
@@ -509,6 +510,33 @@ def test_tiny_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, v
     points = data["roots"] if argv[0] == "spectrum" else data["forbidden_set"]["points"]
     found = [complex(r["re"], r["im"]) for r in points]
     reference = [complex(u) * 1e-100 for u in polyroots_reference(parse_weight("l^3+1").num)]
+    assert len(found) == 3
+    for z in found:
+        assert min(abs(z - r) / abs(r) for r in reference) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "vertices,argv",
+    [(["v"], ["spectrum"]), (["v"], ["verify", "--set", "v"]), (["s", "v"], ["reduce", "--set", "s"])],
+)
+def test_huge_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, vertices, argv):
+    # a coefficient 10^400 overflows a double, but the roots of
+    # l^3 - l + 10^400, of modulus about 10^133, do not: with l = 10^133 u,
+    # the reference solves 10^399 u^3 - 10^133 u + 10^400
+    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": "l^3+10^400"}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code = main([argv[0], str(path)] + argv[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    if argv[0] == "verify":
+        return
+    data = json.loads(out)
+    points = data["roots"] if argv[0] == "spectrum" else data["forbidden_set"]["points"]
+    found = [complex(r["re"], r["im"]) for r in points]
+    p = parse_weight("l^3-l+10^400").num
+    scaled = Poly([c * GaussianRational(10 ** (133 * k)) for k, c in enumerate(p.coeffs)])
+    reference = [complex(u) * 1e133 for u in polyroots_reference(scaled)]
     assert len(found) == 3
     for z in found:
         assert min(abs(z - r) / abs(r) for r in reference) <= 1e-12

@@ -533,6 +533,44 @@ def test_squarefree_reconstructs_randomized():
         assert degsum == prod.degree
 
 
+def _yun_loop(p: Poly):
+    """Yun's loop run to its end, with no exit when p is squarefree."""
+    p = p.monic()
+    out, dp = [], p.derivative()
+    g = poly_gcd(p, dp)
+    c = p.exact_div(g)
+    d = dp.exact_div(g) - c.derivative()
+    i = 1
+    while c.degree > 0:
+        f = poly_gcd(c, d)
+        if f.degree > 0:
+            out.append((f, i))
+        c = c.exact_div(f)
+        d = d.exact_div(f) - c.derivative()
+        i += 1
+    return out
+
+
+def test_squarefree_early_exit_returns_what_yuns_loop_returns_randomized():
+    # products of Gaussian factors, some with a root 0, each at multiplicity
+    # 1 (squarefree, which takes the early exit) or 1-3
+    rng = random.Random("yun-exit")
+    taken = Counter()
+    for case in range(200):
+        p = Poly.one()
+        for _ in range(rng.randint(1, 3)):
+            f = Poly([GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2) * (rng.random() < 0.5))
+                      for _ in range(rng.randint(2, 4))])
+            if f.degree > 0:
+                p = p * f ** (1 if case % 2 else rng.randint(1, 3))
+        if p.degree < 1:
+            continue
+        got = squarefree_decompose(p)
+        assert got == _yun_loop(p), poly_to_string(p)
+        taken[got == [(p.monic(), 1)], not p.coeffs[0]] += 1
+    assert min(taken.values()) >= 10 and len(taken) == 4, taken
+
+
 def test_poly_gcd_equals_the_euclidean_reference_randomized():
     rng = random.Random(13)
     taken = {"zero": 0, "constant": 0, "repeated": 0, "gaussian": 0}
@@ -547,6 +585,33 @@ def test_poly_gcd_equals_the_euclidean_reference_randomized():
         taken["repeated"] += poly_gcd(common, common.derivative()).degree > 0
         taken["gaussian"] += any(c.im for c in a.coeffs + b.coeffs)
     assert min(taken.values()) >= 10, taken
+
+
+def test_poly_gcd_splits_powers_of_l_as_the_euclidean_reference_randomized():
+    # l^j planted in both operands, in one only, or in neither; pure
+    # monomials l^j against l^k; a zero operand
+    rng = random.Random("split-l")
+    taken = Counter()
+    for case in range(320):
+        kind = ("both", "a", "b", "neither", "monomials", "zero")[case % 6]
+        a, b, _ = random_gcd_pair(rng)
+        if kind == "monomials":
+            a, b = L.num ** rng.randint(0, 6), L.num ** rng.randint(0, 6)
+        j, k = rng.randint(1, 6), rng.randint(1, 6)
+        if kind in ("both", "a"):
+            a = a * L.num**j
+        if kind in ("both", "b"):
+            b = b * L.num**k
+        if kind == "zero":
+            a, b = Poly.zero(), b * L.num**k
+        g = poly_gcd(a, b)
+        assert g == poly_gcd_euclid(a, b) == poly_gcd(b, a), (poly_to_string(a), poly_to_string(b))
+        taken[kind, g.degree > 0 and not g.coeffs[0]] += 1
+        taken["gaussian"] += any(c.im for c in a.coeffs + b.coeffs)
+    # l divides the gcd where both operands carry it, and not where one does
+    assert min(taken[kind, True] for kind in ("both", "monomials", "zero")) >= 30, taken
+    assert min(taken[kind, False] for kind in ("a", "b", "neither")) >= 30, taken
+    assert taken["gaussian"] >= 150, taken
 
 
 def test_poly_gcd_proves_coprime_pairs_by_one_prime_image_randomized(monkeypatch):

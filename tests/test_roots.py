@@ -1,15 +1,22 @@
 """Certified root location against planted roots and the 60-digit reference."""
 
 import cmath
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from isored import roots
+from isored.cli import main
 from isored.oracles import polyroots_reference
 from isored.ratfun import GaussianRational, Poly, parse_weight
+from isored.reduction import reduce
 from isored.roots import poly_roots
+from isored.spectrum import spectrum
+from isored.structural import forbidden_set
+from isored.wgraph import WeightedDigraph
 
 # how close, relative to the root, a printed root must be
 REL = 2.0**-40
@@ -118,3 +125,50 @@ def test_roots_closer_than_doubles_part_are_certified_on_dyadic_iterates(monkeyp
     assert len(calls) == 1
     assert len(found) == 3 and abs(found[2] - 3) <= REL * 3
     assert all(abs(z - 4 / 3) <= REL * 4 / 3 for z in found[:2])
+
+
+def cycle_graph_path(tmp_path, n: int) -> str:
+    """The unit n-cycle v0 -> v1 -> ... -> v0, written as a graph file."""
+    edges = [{"from": f"v{k}", "to": f"v{(k + 1) % n}", "weight": "1"} for k in range(n)]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"vertices": [f"v{k}" for k in range(n)], "edges": edges}))
+    return str(path)
+
+
+def test_one_verify_call_locates_each_squarefree_factor_once(tmp_path, monkeypatch, capsys):
+    # sigma(G) of the 5-cycle and sigma(R_S) over {v0} are both the roots
+    # of l^5 - 1, and N(G;S) is {0}
+    path = cycle_graph_path(tmp_path, 5)
+    calls = []
+    located = roots._squarefree_roots
+    monkeypatch.setattr(roots, "_squarefree_roots", lambda f: calls.append(f) or located(f))
+    assert main(["verify", path, "--set", "v0"]) == 0
+    inside = list(calls)
+    assert len(inside) == len(set(inside))
+    # the same three root sets outside main locate the shared factors again
+    calls.clear()
+    g = WeightedDigraph.from_json_dict(json.loads(Path(path).read_text()))
+    spectrum(g)
+    spectrum(reduce(g, ["v0"]))
+    forbidden_set(g, ["v0"])
+    assert set(calls) == set(inside) and len(calls) > len(inside)
+    # and two consecutive calls of main locate each factor each time
+    calls.clear()
+    assert main(["verify", path, "--set", "v0"]) == 0
+    assert main(["verify", path, "--set", "v0"]) == 0
+    assert calls == inside + inside
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_the_root_table_lives_only_inside_main(tmp_path, capsys):
+    assert roots._located is None
+    poly_roots(parse_weight("l^5-1").num)
+    assert roots._located is None
+    assert main(["spectrum", cycle_graph_path(tmp_path, 5)]) == 0
+    assert roots._located is None
+    # a refusal leaves no table behind either
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v", "weight": "l^2+10^700"}]}))
+    assert main(["spectrum", str(path)]) == 2
+    assert roots._located is None
+    capsys.readouterr()
