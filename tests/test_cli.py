@@ -492,13 +492,11 @@ def test_roots_outside_double_range_exit_2_with_one_error_line(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: cannot locate the roots")
 
 
-@pytest.mark.parametrize(
-    "vertices,argv",
-    [(["v"], ["spectrum"]), (["v"], ["verify", "--set", "v"]), (["s", "v"], ["reduce", "--set", "s"])],
-)
-def test_tiny_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, vertices, argv):
-    # l = 10^300 l^3 + l + 1 is solved by l = 10^-100 u with u^3 = -1
-    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": "10^300*l^3+l+1"}]}
+def loop_roots_agree(tmp_path, capsys, loop, vertices, argv, reference):
+    """The command on the graph with ``loop`` on v exits 0, and each root it
+    prints (``verify`` prints none to check) is within 1e-12, relative to
+    the root, of one of the three values of ``reference``."""
+    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": loop}]}
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph))
     code = main([argv[0], str(path)] + argv[1:])
@@ -509,10 +507,19 @@ def test_tiny_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, v
     data = json.loads(out)
     points = data["roots"] if argv[0] == "spectrum" else data["forbidden_set"]["points"]
     found = [complex(r["re"], r["im"]) for r in points]
-    reference = [complex(u) * 1e-100 for u in polyroots_reference(parse_weight("l^3+1").num)]
     assert len(found) == 3
     for z in found:
         assert min(abs(z - r) / abs(r) for r in reference) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "vertices,argv",
+    [(["v"], ["spectrum"]), (["v"], ["verify", "--set", "v"]), (["s", "v"], ["reduce", "--set", "s"])],
+)
+def test_tiny_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, vertices, argv):
+    # l = 10^300 l^3 + l + 1 is solved by l = 10^-100 u with u^3 = -1
+    reference = [complex(u) * 1e-100 for u in polyroots_reference(parse_weight("l^3+1").num)]
+    loop_roots_agree(tmp_path, capsys, "10^300*l^3+l+1", vertices, argv, reference)
 
 
 @pytest.mark.parametrize(
@@ -523,23 +530,10 @@ def test_huge_roots_are_located_and_agree_with_the_reference(tmp_path, capsys, v
     # a coefficient 10^400 overflows a double, but the roots of
     # l^3 - l + 10^400, of modulus about 10^133, do not: with l = 10^133 u,
     # the reference solves 10^399 u^3 - 10^133 u + 10^400
-    graph = {"vertices": vertices, "edges": [{"from": "v", "to": "v", "weight": "l^3+10^400"}]}
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(graph))
-    code = main([argv[0], str(path)] + argv[1:])
-    out = capsys.readouterr().out
-    assert code == 0
-    if argv[0] == "verify":
-        return
-    data = json.loads(out)
-    points = data["roots"] if argv[0] == "spectrum" else data["forbidden_set"]["points"]
-    found = [complex(r["re"], r["im"]) for r in points]
     p = parse_weight("l^3-l+10^400").num
     scaled = Poly([c * GaussianRational(10 ** (133 * k)) for k, c in enumerate(p.coeffs)])
     reference = [complex(u) * 1e133 for u in polyroots_reference(scaled)]
-    assert len(found) == 3
-    for z in found:
-        assert min(abs(z - r) / abs(r) for r in reference) <= 1e-12
+    loop_roots_agree(tmp_path, capsys, "l^3+10^400", vertices, argv, reference)
 
 
 def test_fmt_complex_clears_noise_in_either_part():

@@ -160,7 +160,7 @@ def test_one_verify_call_locates_each_squarefree_factor_once(tmp_path, monkeypat
     assert "PASS" in capsys.readouterr().out
 
 
-def test_the_root_table_lives_only_inside_main(tmp_path, capsys):
+def test_the_root_table_lives_only_inside_main(tmp_path):
     assert roots._located is None
     poly_roots(parse_weight("l^5-1").num)
     assert roots._located is None
@@ -171,4 +171,3 @@ def test_the_root_table_lives_only_inside_main(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v", "weight": "l^2+10^700"}]}))
     assert main(["spectrum", str(path)]) == 2
     assert roots._located is None
-    capsys.readouterr()
