@@ -5,7 +5,9 @@ Representation
 --------------
 GaussianRational   a + b*i with a, b exact ``fractions.Fraction`` values.
 Poly               coefficient tuple in ascending degree; the last entry is
-                   nonzero, the zero polynomial is the empty tuple.
+                   nonzero, the zero polynomial is the empty tuple.  On
+                   first use it also keeps a view of itself cleared to
+                   Gaussian integers (``Poly.gaussian_ints``).
 RatFun             a quotient num/den of two Poly values kept in canonical
                    form: gcd(num, den) = 1, den monic, zero is 0/1.
 
@@ -39,10 +41,19 @@ The gcd is unique up to a unit, so this is the same monic polynomial the
 Euclidean algorithm over Q(i) gives (``oracles.poly_gcd_euclid``, the
 reference).  :meth:`Poly.exact_div`, the one polynomial division (Bareiss
 steps, Henrici cancellation, Yun's squarefree split), is long division
-over Z[i] through the same clearing, ``_gaussian_ints``; division with a
+over Z[i] on copies of the operands' cleared views; division with a
 remainder over Q(i) is ``oracles.poly_divmod``, the reference.
-:func:`format_weight` prints through that clearing too, applied to the
-numerator's and denominator's coefficients together.
+
+Each polynomial is cleared once: the gcd, the division, the parse
+ceilings' bit bound and root location all read its cached view, whose
+lists no kernel writes into.  Powers (repeated squaring) and products of
+many factors (:func:`poly_product`, a balanced tree) multiply the cleared
+int lists (``_zmul``) and build ``Fraction`` coefficients once, scaled by
+the product of the operands' scales.  A binary ``*`` stays on
+``Fraction`` coefficients; an operand c*l^j with j >= 1 shifts and
+scales the other, with no scan of its zeros.  :func:`format_weight`
+keeps its own clearing, of the numerator's and denominator's
+coefficients together, to one scale.
 
 The weight grammar accepted by :func:`parse_weight` (whitespace ignored)::
 
@@ -177,10 +188,12 @@ class Poly:
     ``coeffs`` is an ascending-degree tuple with nonzero leading entry;
     the zero polynomial is the empty tuple and has degree ``NEG_INF``.
     The hash is computed on first use and kept, since a tuple rehashes
-    every coefficient on each call.
+    every coefficient on each call, and so is the view over the Gaussian
+    integers, ``gaussian_ints``, which every kernel that clears the whole
+    polynomial reads.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_zi")
 
     def __init__(self, coeffs: Iterable[GaussianRational] = ()):
         cs = list(coeffs)
@@ -233,6 +246,17 @@ class Poly:
             self._hash = hash(self.coeffs)
             return self._hash
 
+    def gaussian_ints(self):
+        """``_gaussian_ints(self.coeffs)``, cleared on first use and kept:
+        the (real parts, imaginary parts) int lists in ascending degree and
+        the scale (m, k).  The lists are shared, so no caller writes into
+        them."""
+        try:
+            return self._zi
+        except AttributeError:
+            self._zi = _gaussian_ints(self.coeffs)
+            return self._zi
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -245,14 +269,29 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [GR_ZERO] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] = out[k] - c
+        return Poly(out)
 
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return _P_ZERO
+        for x, y in ((a, b), (b, a)):
+            if _shifted_term(x):
+                # c * l^j times y: y scaled by c and shifted by j, with no
+                # scan of the j zeros below the term
+                c = x[-1]
+                if c != GR_ONE:
+                    y = tuple(GR_ZERO if t is GR_ZERO else t * c for t in y)
+                out = Poly.__new__(Poly)
+                out.coeffs = (GR_ZERO,) * (len(x) - 1) + y
+                return out
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         # the nonzero terms of each operand; a place no product has touched
         # holds the shared GR_ZERO, which the identity test skips at once
@@ -269,28 +308,36 @@ class Poly:
         return Poly(tuple(k * c for k in self.coeffs))
 
     def __pow__(self, n: int):
+        """``self`` to the power ``n``: with self = P * k/m over Z[i]
+        (``gaussian_ints``), P^n by repeated squaring on int lists, scaled
+        once by k^n/m^n."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = _P_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if not n:
+            return _P_ONE
+        if n == 1 or not self.coeffs:
+            return self
+        re, im, (m, k) = self.gaussian_ints()
+        out = None
+        e = n
+        while True:
+            if e & 1:
+                out = (re, im) if out is None else _zmul(*out, re, im)
+            e >>= 1
+            if not e:
+                return _from_ints(*out, k**n, m**n)
+            re, im = _zmul(re, im, re, im)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """The quotient ``self / other``, which must be a polynomial.
 
-        Long division over Z[i]: both operands are cleared to
-        Gaussian-integer polynomials, and each quotient coefficient is
-        t * conj(lc) / |lc|^2 for the leading remainder coefficient t and
-        the divisor's leading coefficient lc.  Where |lc|^2 does not divide
-        that, the rest of the remainder and a running integer denominator
-        are multiplied by |lc|^2 first.  ``Fraction`` coefficients are built
-        once, from the integer quotient, its denominators and the scales.
+        Long division over Z[i] on copies of both operands'
+        ``gaussian_ints``: each quotient coefficient is t * conj(lc) / |lc|^2
+        for the leading remainder coefficient t and the divisor's leading
+        coefficient lc.  Where |lc|^2 does not divide that, the rest of the
+        remainder and a running integer denominator are multiplied by
+        |lc|^2 first.  ``Fraction`` coefficients are built once, from the
+        integer quotient, its denominators and the scales.
         Division by the constant 1 returns ``self`` at once.
         """
         if not other.coeffs:
@@ -302,12 +349,14 @@ class Poly:
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             raise ValueError("inexact polynomial division")
-        # descending degree; self = (ar + ai*i) * ka/ma, other = (br + bi*i) * kb/mb
-        ar, ai, (ma, ka) = _gaussian_ints(self.coeffs[::-1])
-        br, bi, (mb, kb) = _gaussian_ints(other.coeffs[::-1])
-        lr, li = br[0], bi[0]
+        # self = (ar + ai*i) * ka/ma, other = (br + bi*i) * kb/mb, copied in
+        # descending degree, since the division writes into ar and ai
+        ar, ai, (ma, ka) = self.gaussian_ints()
+        br, bi, (mb, kb) = other.gaussian_ints()
+        ar, ai = ar[::-1], ai[::-1]
+        lr, li = br[-1], bi[-1]
         n = lr * lr + li * li
-        br, bi = br[1:], bi[1:]
+        br, bi = br[-2::-1], bi[-2::-1]
         dd = len(br)
         den = 1
         quot = []  # (re, im, den): one quotient coefficient times den
@@ -372,6 +421,16 @@ def horner(coeffs: Sequence[complex], z: complex) -> complex:
     return out
 
 
+def _shifted_term(cs: Sequence[GaussianRational]) -> bool:
+    """Whether the nonzero coefficients ``cs`` are those of c * l^j with
+    j >= 1.  A nonzero constant term answers at once; below the lead, the
+    zeros are matched against the shared GR_ZERO in C, by identity before
+    ``==``.  A constant operand is left to the loop over nonzero terms: it
+    has no zeros to skip."""
+    j = len(cs) - 1
+    return j > 0 and (cs[0] is GR_ZERO or not cs[0]) and cs[:j] == (GR_ZERO,) * j
+
+
 _P_ZERO = Poly.__new__(Poly)
 _P_ZERO.coeffs = ()
 _P_ONE = Poly.__new__(Poly)
@@ -380,9 +439,11 @@ _P_VAR = Poly.__new__(Poly)
 _P_VAR.coeffs = (GR_ZERO, GR_ONE)
 
 
-# -- gcd over the Gaussian integers -------------------------------------
+# -- kernels over the Gaussian integers ---------------------------------
 # A Gaussian-integer polynomial is a pair of int lists (real parts,
-# imaginary parts) in descending degree; a Gaussian integer is an int pair.
+# imaginary parts): in ascending degree as ``_gaussian_ints`` clears it and
+# ``_zmul`` and ``_from_ints`` take it, in descending degree in the gcd and
+# division kernels.  A Gaussian integer is an int pair.
 
 
 def _gaussian_ints(cs: Sequence[GaussianRational]):
@@ -401,6 +462,41 @@ def _gaussian_ints(cs: Sequence[GaussianRational]):
     if k > 1:
         nums = [x // k for x in nums]
     return nums[: len(cs)], nums[len(cs) :], (m, k)
+
+
+def _from_ints(re: List[int], im: List[int], k: int, m: int) -> Poly:
+    """The polynomial (re + im*i) * k/m, for ascending int lists whose last
+    entries are not both zero."""
+    out = Poly.__new__(Poly)
+    out.coeffs = tuple(
+        GaussianRational(Fraction(x * k, m) if x else _F0, Fraction(y * k, m) if y else _F0)
+        if x or y
+        else GR_ZERO
+        for x, y in zip(re, im)
+    )
+    return out
+
+
+def _zmul(ar: List[int], ai: List[int], br: List[int], bi: List[int]):
+    """The product of the Gaussian-integer polynomials ar + ai*i and
+    br + bi*i, given as int lists in ascending degree: the longer one
+    times each nonzero term of the shorter, added in place.  The operands
+    are read only."""
+    if len(ar) < len(br):
+        ar, ai, br, bi = br, bi, ar, ai
+    n = len(ar)
+    cr, ci = [0] * (n + len(br) - 1), [0] * (n + len(br) - 1)
+    real = not any(ai)
+    for j, (x, y) in enumerate(zip(br, bi)):
+        if y:
+            zs = list(zip(cr[j : j + n], ci[j : j + n], ar, ai))
+            cr[j : j + n] = [r + x * p - y * q for r, _, p, q in zs]
+            ci[j : j + n] = [t + x * q + y * p for _, t, p, q in zs]
+        elif x:
+            cr[j : j + n] = [r + x * p for r, p in zip(cr[j : j + n], ar)]
+            if not real:
+                ci[j : j + n] = [t + x * q for t, q in zip(ci[j : j + n], ai)]
+    return cr, ci
 
 
 def _gpow(ar: int, ai: int, n: int):
@@ -512,13 +608,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     va, vb = _order(a.coeffs), _order(b.coeffs)
     shift = min(va, vb)
-    ac, bc = a.coeffs[va:], b.coeffs[vb:]
-    if len(ac) < len(bc):
-        ac, bc = bc, ac
-    if len(bc) == 1:
+    if len(a.coeffs) - va < len(b.coeffs) - vb:
+        a, b, va, vb = b, a, vb, va
+    if len(b.coeffs) - vb == 1:
         return _times_l((GR_ONE,), shift)
-    ur, ui, _ = _gaussian_ints(ac[::-1])
-    vr, vi, _ = _gaussian_ints(bc[::-1])
+    # the zeros below l^v change neither the lcm of the denominators nor the
+    # integer content, so the cleared a / l^v is the tail of a's view
+    (ar, ai, _), (br, bi, _) = a.gaussian_ints(), b.gaussian_ints()
+    ur, ui, vr, vi = ar[va:][::-1], ai[va:][::-1], br[vb:][::-1], bi[vb:][::-1]
     if _coprime_mod_p(ur, ui, vr, vi):
         return _times_l((GR_ONE,), shift)
     gr, gi, hr, hi = 1, 0, 1, 0
@@ -559,7 +656,27 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if not a.coeffs or not b.coeffs:
         return _P_ZERO
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    return (a.exact_div(poly_gcd(a, b)) * b).monic()
+
+
+def poly_product(factors: Sequence[Poly]) -> Poly:
+    """The product of ``factors``: each is cleared once (``gaussian_ints``),
+    the Gaussian-integer polynomials are multiplied by a balanced tree, so
+    that a long run of low-degree factors never multiplies into one growing
+    product, and the result is scaled once by the product of the scales."""
+    if len(factors) < 2:
+        return factors[0] if factors else _P_ONE
+    parts, k, m = [], 1, 1
+    for f in factors:
+        if not f.coeffs:
+            return _P_ZERO
+        re, im, (mf, kf) = f.gaussian_ints()
+        parts.append((re, im))
+        k, m = k * kf, m * mf
+    while len(parts) > 1:
+        paired = [_zmul(*x, *y) for x, y in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2 :]
+    return _from_ints(*parts[0], k, m)
 
 
 def squarefree_decompose(p: Poly):
@@ -853,15 +970,16 @@ MAX_POWER = 4096
 
 # the most degree times coefficient bits the powers of one weight may reach
 # together: a dense power costs about the cube of its exponent, so
-# (l+1)^512 (about 0.5 s on a 2-CPU x86 machine) is admitted, and
-# (l+1)^2000 (12.5 s) and (l+1)^512+(l+1)^512 are not
+# (l+1)^512 (about 0.01 s on a 2-CPU x86 machine, squared on its cleared
+# base) is admitted, and (l+1)^2000 (1.1 s) and (l+1)^512+(l+1)^512 are
+# not; what a power builds goes on into Fraction arithmetic
 MAX_POWER_WORK = 2**18
 
 # the most coefficient products a product or quotient may compute, each
-# counted once more for every 2048 bits of its operands' bit bounds: the
-# last squaring of (l+1)^512, (l+1)^256 times itself (66,049, about 0.4 s
-# on a 2-CPU x86 machine), is admitted, and (l+1)^512 times itself
-# (263,169, 1.7 s) is not
+# counted once more for every 2048 bits of its operands' bit bounds: a
+# binary product stays on Fraction coefficients, and (l+1)^256 times
+# itself (66,049, about 0.33 s on a 2-CPU x86 machine) is admitted, and
+# (l+1)^512 times itself (263,169, 1.4 s) is not
 MAX_PRODUCT_WORK = 2**17
 
 
@@ -870,7 +988,7 @@ def _poly_bits(p: Poly) -> int:
     products: for p = P * k/m with P over Z[i] (``_gaussian_ints``), the
     coefficients of a product P*Q are bounded by the product of the
     1-norms, so ceil(log2) of the 1-norm plus ceil(log2 max(m, k))."""
-    re, im, (m, k) = _gaussian_ints(p.coeffs)
+    re, im, (m, k) = p.gaussian_ints()
     norm = sum(map(abs, re)) + sum(map(abs, im))
     return (norm - 1).bit_length() + (max(m, k) - 1).bit_length()
 

@@ -29,7 +29,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .ratfun import Poly, _gaussian_ints, squarefree_decompose
+from .ratfun import Poly, squarefree_decompose
 
 # the most degree whose roots are located: a sweep on d roots and n terms
 # costs d (n + d) time, the iterates d memory (2-CPU x86: l^1200 - 1 in
@@ -263,7 +263,7 @@ def _squarefree_roots(f: Poly) -> list[complex]:
         if f.degree == 1:
             coeffs = f.complex_coeffs()
             return [-coeffs[0] / coeffs[1]]
-        terms = [(k, a, b) for k, (a, b) in enumerate(zip(*_gaussian_ints(f.coeffs)[:2])) if a or b]
+        terms = [(k, a, b) for k, (a, b) in enumerate(zip(*f.gaussian_ints()[:2])) if a or b]
         la = [math.log2(a * a + b * b) / 2 for _, a, b in terms]
         z = _starts([t[0] for t in terms], la, f.degree)
         z, work = _double_sweeps(terms, la, z, MAX_SWEEP_WORK)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Optional
 
-from .ratfun import Poly, RatFun, poly_gcd, poly_lcm, poly_to_string
+from .ratfun import Poly, RatFun, poly_gcd, poly_lcm, poly_product, poly_to_string
 from .reduction import _eliminate
 from .roots import poly_roots
 from .structural import ForbiddenSet
@@ -110,16 +110,7 @@ def char_det(g: WeightedDigraph) -> RatFun:
             cleared.append([e.num for e in row])
     nums = [w.num - lam * w.den for w in loops]
     nums.append(_det_poly_bareiss(cleared))
-    return RatFun(_poly_product(nums), _poly_product(dens))
-
-
-def _poly_product(factors: List[Poly]) -> Poly:
-    """The product of ``factors`` by a balanced tree, so that a long run of
-    low-degree factors never multiplies into one growing product."""
-    while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[len(paired) * 2 :]
-    return factors[0] if factors else Poly.one()
+    return RatFun(poly_product(nums), poly_product(dens))
 
 
 class SpectralPoint:

@@ -1,10 +1,12 @@
 """Weight-field arithmetic, parsing, and formatting."""
 
 import json
+import operator
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +39,8 @@ from isored.ratfun import (
     format_weight,
     parse_weight,
     poly_gcd,
+    poly_lcm,
+    poly_product,
     poly_to_string,
     squarefree_decompose,
     _P,
@@ -44,6 +48,7 @@ from isored.ratfun import (
     _gaussian_ints,
     _power_size,
 )
+from isored.roots import _squarefree_roots, poly_roots
 
 L = RatFun.var()
 ONE = RatFun.one()
@@ -666,6 +671,137 @@ def test_poly_gcd_of_the_recorded_degree_14_gaussian_pair():
     q = p * f**2
     dq = q.derivative()
     assert poly_gcd(q, dq) == poly_gcd_euclid(q, dq) == f.monic()
+
+
+def _random_poly(rng, kind):
+    """A polynomial for the product and power tests: ``kind`` is one of
+    "zero", "constant", "monomial" (c * l^k), "rational" or "gaussian"."""
+
+    def coeff(gaussian):
+        return GaussianRational(
+            Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7))),
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) if gaussian else 0,
+        )
+
+    def nonzero(gaussian):
+        c = coeff(gaussian)
+        while not c:
+            c = coeff(gaussian)
+        return c
+
+    if kind == "zero":
+        return Poly.zero()
+    if kind == "constant":
+        return Poly.const(nonzero(rng.random() < 0.5))
+    if kind == "monomial":
+        return Poly.const(nonzero(rng.random() < 0.5)) * L.num ** rng.randint(1, 9)
+    gaussian = kind == "gaussian"
+    return Poly([coeff(gaussian) for _ in range(rng.randint(1, 4))] + [nonzero(gaussian)])
+
+
+def _convolve(a: Poly, b: Poly) -> Poly:
+    """a * b by the schoolbook convolution over every pair of places."""
+    if not a or not b:
+        return Poly.zero()
+    out = [GaussianRational(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def test_mul_by_one_term_and_sub_equal_the_schoolbook_randomized():
+    # a one-term operand c * l^j is a scale and a shift; either side may hold it
+    rng = random.Random("one-term")
+    taken = Counter()
+    for case in range(400):
+        kind = ("c", "1", "c*l^j", "l^j")[case % 4]
+        c = Poly.const(1) if kind in ("1", "l^j") else _random_poly(rng, "constant")
+        a = c * L.num ** rng.randint(1, 40) if "l" in kind else c
+        b = _random_poly(rng, ("zero", "constant", "monomial", "rational", "gaussian")[case // 4 % 5])
+        if case % 3 == 0:
+            b = b * L.num ** rng.randint(1, 5)
+        assert a * b == b * a == _convolve(a, b), (poly_to_string(a), poly_to_string(b))
+        assert a - b == a + (-b) and b - a == b + (-a)
+        taken[kind, b.degree > 0] += 1
+    assert min(taken.values()) >= 10 and len(taken) == 8, taken
+
+
+def test_poly_product_equals_repeated_binary_products_randomized():
+    rng = random.Random("poly-product")
+    kinds = ("zero", "constant", "monomial", "rational", "gaussian")
+    taken = Counter()
+    assert poly_product([]) == Poly.one()
+    for case in range(300):
+        n = case % 9
+        # one list in four holds one kind of factor only
+        only = kinds[case // 4 % 5] if case % 4 == 0 else None
+        factors = [_random_poly(rng, only or rng.choices(kinds, (1, 3, 3, 5, 5))[0]) for _ in range(n)]
+        got = poly_product(factors)
+        assert got == reduce(operator.mul, factors, Poly.one()), [poly_to_string(f) for f in factors]
+        if n == 1:
+            assert got is factors[0]
+        taken["zero"] += not got and n > 0
+        taken["one factor"] += n == 1
+        taken["constants"] += n > 1 and all(f.degree == 0 for f in factors)
+        taken["monomials"] += n > 1 and only == "monomial"
+        taken["rational"] += n > 1 and bool(got) and not any(c.im for f in factors for c in f.coeffs)
+        taken["gaussian"] += n > 1 and any(c.im for f in factors for c in f.coeffs)
+    assert min(taken.values()) >= 10, taken
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_power_equals_repeated_binary_products_randomized(n):
+    rng = random.Random(f"power-{n}")
+    kinds = ("zero", "constant", "monomial", "rational", "gaussian")
+    for case in range(25 if n == 64 else 100):
+        p = _random_poly(rng, kinds[case % 5])
+        if n == 64 and p.degree > 2:
+            p = Poly(p.coeffs[-3:])
+        assert p**n == reduce(operator.mul, [p] * n, Poly.one()), poly_to_string(p)
+
+
+def test_poly_lcm_equals_the_product_over_the_gcd_randomized():
+    rng = random.Random("poly-lcm")
+    for _ in range(200):
+        a, b, _ = random_gcd_pair(rng)
+        want = (a * b).exact_div(poly_gcd(a, b)).monic() if a and b else Poly.zero()
+        assert poly_lcm(a, b) == poly_lcm(b, a) == want, (poly_to_string(a), poly_to_string(b))
+
+
+def test_the_cleared_view_is_never_written_randomized():
+    # division, gcd and root location read each operand's cached lists; a
+    # write into them would leave the view unequal to a fresh clearing
+    rng = random.Random("cleared-view")
+
+    def intact(*ps):
+        return all(p.gaussian_ints() == _gaussian_ints(p.coeffs) for p in ps)
+
+    for _ in range(150):
+        a, b, common = random_gcd_pair(rng)
+        a, b = a * L.num ** rng.randint(0, 3), b * L.num ** rng.randint(0, 3)
+        views = [p.gaussian_ints() for p in (a, b, common)]
+        if a:
+            p = a * common
+            assert intact(p, common, p.exact_div(common))
+        g = poly_gcd(a, b)
+        assert intact(a, b, g)
+        if a.degree > 0 and a.degree <= 12:
+            for f, _ in squarefree_decompose(a):
+                _squarefree_roots(f)
+                assert intact(f)
+            poly_roots(a)
+        assert intact(a, b, common)
+        assert all(p.gaussian_ints() is v for p, v in zip((a, b, common), views))
+
+
+@pytest.mark.parametrize("base, den", [("l+1", "l-1"), ("l^2+3*l+1", "l-1")])
+def test_power_weights_parse_to_the_binary_products(base, den):
+    # the parser's power runs on the cleared form; 128 binary products of
+    # the bases, canonicalized by the general constructor, are the reference
+    num_ref = reduce(operator.mul, [rf(base).num] * 128, Poly.one())
+    den_ref = reduce(operator.mul, [rf(den).num] * 128, Poly.one())
+    assert rf(f"({base})^128/({den})^128") == RatFun(num_ref, den_ref)
 
 
 @pytest.mark.parametrize(
