@@ -15,6 +15,14 @@ Because the denominator is monic and common factors are always removed,
 every field element has exactly one representation, so ``==`` on RatFun is
 field equality.  All three types are immutable and hashable.
 
+Most weights are real, so the scalar operations skip zero imaginary
+parts: a GaussianRational sum or difference of two reals is one
+``Fraction`` operation, a real times a real is one ``Fraction`` product, a
+real times a complex number two, and the four-product formula runs only
+when both operands have imaginary parts.  A ``Poly`` sum or difference skips
+the places of the shorter operand that hold the shared zero ``GR_ZERO``,
+so adding c*l^k to a long polynomial is one scalar addition.
+
 ``RatFun(num, den)`` is the general canonicaliser: it divides out
 gcd(num, den).  The field operations never call it on a cross product.
 Their operands are already coprime, so Henrici's algorithms (Knuth, TAOCP
@@ -135,29 +143,33 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        b, d = self.im, other.im
+        return _gr(self.re + other.re, (b + d if b else d) if d else b)
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        b, d = self.im, other.im
+        return _gr(self.re - other.re, (b - d if b else -d) if d else b)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        b = self.im
+        return _gr(-self.re, -b if b else b)
 
     def __mul__(self, other):
         a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return GaussianRational(a * c, _F0)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if not d:
+            return _gr(a * c, b * c if b else b)
+        if not b:
+            return _gr(a * c, a * d)
+        return _gr(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other):
         if not other:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        c, d = other.re, other.im
+        a, b, c, d = self.re, self.im, other.re, other.im
         if not d:
-            return GaussianRational(self.re / c, self.im / c)
+            return _gr(a / c, b / c if b else b)
         n = c * c + d * d
-        a, b = self.re, self.im
-        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
+        return _gr((a * c + b * d) / n, (b * c - a * d) / n)
 
     def inverse(self):
         return GR_ONE / self
@@ -175,6 +187,15 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """The Gaussian rational re + im*i from two ``Fraction`` parts, with
+    none of the public constructor's conversions."""
+    out = GaussianRational.__new__(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
 
 
 GR_ZERO = GaussianRational(0, 0)
@@ -264,19 +285,23 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        # a place that holds the shared GR_ZERO adds nothing, so a sum with
+        # c * l^k costs one scalar addition
         for k, c in enumerate(b):
-            out[k] = out[k] + c
+            if c is not GR_ZERO:
+                out[k] = out[k] + c
         return Poly(out)
 
     def __sub__(self, other):
         a, b = self.coeffs, other.coeffs
         out = list(a) + [GR_ZERO] * (len(b) - len(a))
         for k, c in enumerate(b):
-            out[k] = out[k] - c
+            if c is not GR_ZERO:
+                out[k] = out[k] - c
         return Poly(out)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(c if c is GR_ZERO else -c for c in self.coeffs))
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -382,7 +407,7 @@ class Poly:
         fn, fd = ka * mb, ma * kb
         out = Poly.__new__(Poly)
         out.coeffs = tuple(
-            GaussianRational(
+            _gr(
                 Fraction(qr * fn, d * fd) if qr else _F0,
                 Fraction(qi * fn, d * fd) if qi else _F0,
             )
@@ -469,7 +494,7 @@ def _from_ints(re: List[int], im: List[int], k: int, m: int) -> Poly:
     entries are not both zero."""
     out = Poly.__new__(Poly)
     out.coeffs = tuple(
-        GaussianRational(Fraction(x * k, m) if x else _F0, Fraction(y * k, m) if y else _F0)
+        _gr(Fraction(x * k, m) if x else _F0, Fraction(y * k, m) if y else _F0)
         if x or y
         else GR_ZERO
         for x, y in zip(re, im)
@@ -646,7 +671,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     n = lr * lr + li * li
     # c / lc = c * conj(lc) / |lc|^2
     cs = [
-        GaussianRational(Fraction(x * lr + y * li, n), Fraction(y * lr - x * li, n))
+        _gr(Fraction(x * lr + y * li, n), Fraction(y * lr - x * li, n))
         for x, y in zip(vr[:0:-1], vi[:0:-1])
     ]
     cs.append(GR_ONE)

@@ -129,6 +129,54 @@ def test_spectrum_output(tmp_path, capsys):
     assert "charpoly_num" in data and "charpoly_den" in data
 
 
+# Small graphs mixing integer, c/(l-d) and a+bi weights, with the exact
+# strings `spectrum` and `reduce --set` print for them.  Float roots are not
+# pinned: their last digits belong to the root finder.
+PINNED_OUTPUTS = [
+    (
+        {"vertices": ["a", "b", "c"], "edges": [("a", "b", "2"), ("b", "c", "1/(l-3)"), ("c", "a", "1+2i"),
+                                                 ("a", "a", "-1"), ("b", "a", "3/(l+1)")]},
+        "a,b",
+        ("-l^5+l^4+5*l^3+9*l^2+(-16+4i)*l+(2+4i)", "l^2-2*l-3"),
+        [("a", "a", "-1"), ("a", "b", "2"), ("b", "a", "(3*l^2+(-8+2i)*l+(1+2i))/(l^3-2*l^2-3*l)")],
+    ),
+    (
+        {"vertices": ["a", "b", "c", "d"], "edges": [("a", "c", "i/(l-2)"), ("c", "b", "2-i"), ("b", "d", "3"),
+                                                      ("d", "a", "1/(l+1)"), ("b", "a", "-2"), ("c", "c", "5")]},
+        "a,b",
+        ("l^6-6*l^5+3*l^4+10*l^3+(2+4i)*l^2+(2+4i)*l+(-3-6i)", "l^2-l-2"),
+        [("a", "b", "(1+2i)/(l^2-7*l+10)"), ("b", "a", "(-2*l^2-2*l+3)/(l^2+l)")],
+    ),
+    (
+        {"vertices": ["u", "v", "w"], "edges": [("u", "v", "1/2"), ("v", "w", "(1-i)/(l+2)"), ("w", "u", "4"),
+                                                 ("w", "v", "-3"), ("u", "u", "i")]},
+        "u,v",
+        ("-l^4+(-2+1i)*l^3+2i*l^2+(-3+3i)*l+(5+1i)", "l+2"),
+        [("u", "u", "1i"), ("u", "v", "1/2"), ("v", "u", "(4-4i)/(l^2+2*l)"), ("v", "v", "(-3+3i)/(l^2+2*l)")],
+    ),
+    (
+        {"vertices": ["p", "q", "r", "s"], "edges": [("p", "q", "1"), ("q", "r", "2/(l-1)"), ("r", "s", "1+i"),
+                                                      ("s", "p", "-1"), ("r", "p", "3"), ("s", "q", "1/(l+1)"),
+                                                      ("p", "p", "2")]},
+        "p,q",
+        ("l^6-2*l^5-l^4+2*l^3-6*l^2-6*l+(6+6i)", "l^2-1"),
+        [("p", "p", "2"), ("p", "q", "1"), ("q", "p", "(6*l+(-2-2i))/(l^3-l^2)"), ("q", "q", "(2+2i)/(l^4-l^2)")],
+    ),
+]
+
+
+@pytest.mark.parametrize("graph, structural, charpoly, weights", PINNED_OUTPUTS)
+def test_spectrum_and_reduce_print_the_pinned_weights(tmp_path, capsys, graph, structural, charpoly, weights):
+    graph = {"vertices": graph["vertices"], "edges": _edges(*graph["edges"])}
+    code, out = run_on_files(tmp_path, capsys, graph, ["spectrum"])
+    assert code == 0, out.err
+    data = json.loads(out.out)
+    assert (data["charpoly_num"], data["charpoly_den"]) == charpoly
+    code, out = run_on_files(tmp_path, capsys, graph, ["reduce", "--set", structural])
+    assert code == 0, out.err
+    assert [(e["from"], e["to"], e["weight"]) for e in json.loads(out.out)["graph"]["edges"]] == weights
+
+
 def test_spectrum_of_empty_graph(tmp_path, capsys):
     path = write_graph(tmp_path, "empty.json", WeightedDigraph([], []))
     code, out = run_cli(capsys, "spectrum", path)

@@ -102,6 +102,55 @@ def test_div_by_zero_raises():
         ONE / ZERO
 
 
+def _two_part_results(a, b, c, d):
+    """What +, -, *, / and unary - give on a+bi and c+di, by the two-part
+    formulas on Fractions; no quotient for c = d = 0."""
+    out = {"+": (a + c, b + d), "-": (a - c, b - d), "*": (a * c - b * d, a * d + b * c), "neg": (-a, -b)}
+    if c or d:
+        n = c * c + d * d
+        out["/"] = ((a * c + b * d) / n, (b * c - a * d) / n)
+    return out
+
+
+def test_scalar_operations_equal_the_two_part_formulas_on_every_zero_pattern():
+    # each scalar operation skips the Fraction work of zero parts, so every
+    # zero/nonzero pattern of (a, b, c, d) takes its own route
+    rng = random.Random("scalar-patterns")
+
+    def part(nonzero):
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) if nonzero else Fraction(0)
+
+    taken = Counter()
+    for mask in range(16):
+        for case in range(12):
+            a, b, c, d = (part(mask >> k & 1) for k in range(4))
+            # cases 1-4 of every 6 make the imaginary part of one result cancel
+            if case % 6 == 1 and b:
+                c, d = part(True), -b  # the sum's
+            elif case % 6 == 2 and b:
+                c, d = part(True), b  # the difference's
+            elif case % 6 == 3 and b and d:
+                c = a * d / b  # a*d = b*c: the quotient's
+            elif case % 6 == 4 and b and d:
+                c = -a * d / b  # a*d = -b*c: the product's
+            x, y = GaussianRational(a, b), GaussianRational(c, d)
+            got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+            if y:
+                got["/"] = x / y
+            for op, (re, im) in _two_part_results(a, b, c, d).items():
+                r = got[op]
+                assert type(r.re) is Fraction and type(r.im) is Fraction, (op, x, y)
+                assert (r.re, r.im) == (re, im), (op, x, y)
+                built = GaussianRational(re, im)
+                assert r == built and hash(r) == hash(built), (op, x, y)
+                taken[op, bool(im)] += bool(b or d)
+            assert x + y == y + x and hash(x + y) == hash(y + x)
+            assert x * y == y * x and hash(x * y) == hash(y * x)
+            assert x - y == -(y - x) and hash(x - y) == hash(-(y - x))
+    # results with and without an imaginary part from complex operands
+    assert len(taken) == 10 and min(taken.values()) >= 10, taken
+
+
 def _exact_div_pair(rng, k):
     """``(a, b)`` for the exact-division test; ``k`` picks the kind of pair."""
 
@@ -725,6 +774,63 @@ def test_mul_by_one_term_and_sub_equal_the_schoolbook_randomized():
         assert a - b == a + (-b) and b - a == b + (-a)
         taken[kind, b.degree > 0] += 1
     assert min(taken.values()) >= 10 and len(taken) == 8, taken
+
+
+def _coefficientwise(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b, place by place on the Fraction parts of every place."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    zero = (Fraction(0), Fraction(0))
+    xs = [(c.re, c.im) for c in a.coeffs] + [zero] * (n - len(a.coeffs))
+    ys = [(c.re, c.im) for c in b.coeffs] + [zero] * (n - len(b.coeffs))
+    return Poly(GaussianRational(p + sign * r, q + sign * s) for (p, q), (r, s) in zip(xs, ys))
+
+
+def test_sparse_sums_and_differences_equal_the_coefficientwise_reference_randomized():
+    # a place holding the shared zero is skipped; monomials c * l^k hold it
+    # below their term, and so does what adds or subtracts one
+    rng = random.Random("sparse-sums")
+    kinds = ("zero", "constant", "monomial", "rational", "gaussian")
+    taken = Counter()
+    for case in range(500):
+        a, b = (_random_poly(rng, rng.choice(kinds)) for _ in range(2))
+        if case % 5 == 0 and a:
+            # b is a's leading term, so a - b (and a + (-b)) loses it
+            lead = Poly.const(a.coeffs[-1]) * L.num ** a.degree
+            b = lead if rng.random() < 0.5 else lead + _random_poly(rng, "monomial")
+            if b.degree < a.degree:
+                continue
+        if case % 7 == 0:
+            a = a + _random_poly(rng, "monomial") * L.num ** rng.randint(0, 6)
+        for x, y in ((a, b), (b, a)):
+            for sign, got in ((1, x + y), (-1, x - y)):
+                want = _coefficientwise(x, y, sign)
+                assert got == want, (poly_to_string(x), sign, poly_to_string(y))
+                assert hash(got) == hash(want)
+        assert -a == _coefficientwise(Poly.zero(), a, -1)
+        taken["zero operand"] += not a or not b
+        taken["monomials"] += a.degree > 0 and b.degree > 0 and len([c for c in a.coeffs + b.coeffs if c]) == 2
+        taken["cancelled lead"] += bool(a) and (a - b).degree < a.degree == b.degree
+        taken["gaussian"] += any(c.im for c in a.coeffs + b.coeffs)
+    assert min(taken.values()) >= 10, taken
+
+
+def test_scalar_additions_reading_back_a_printed_weight_grow_linearly_in_its_terms(monkeypatch):
+    # a printed weight is a sum of c * l^k terms; each term costs a bounded
+    # number of scalar additions, not one per place of the running sum
+    count = Counter()
+    for name in ("__add__", "__sub__"):
+        op = getattr(GaussianRational, name)
+        monkeypatch.setattr(GaussianRational, name, lambda x, y, op=op: count.update(("op",)) or op(x, y))
+    for base in ("l+1", "l-1", "(1+i)*l-2", "(l^2+3*l+1)/(l-1)", "1/(l+1)^2+1/(l-1)^2"):
+        per_term = []
+        for n in (16, 32, 64):
+            value = rf(f"({base})^{n}")
+            text = format_weight(value)
+            terms = sum(1 for c in value.num.coeffs + value.den.coeffs if c)
+            count.clear()
+            assert rf(text) == value
+            per_term.append(count["op"] / terms)
+        assert max(per_term) <= 4 and per_term[-1] <= 1.25 * per_term[0], (base, per_term)
 
 
 def test_poly_product_equals_repeated_binary_products_randomized():
